@@ -44,10 +44,10 @@ from .partitions import Multipartition, Node, empty_multipartition, mp
 from .peeling import (
     DecompositionMatrix,
     EngineDisagreement,
+    InvariantViolation,
     NonSaturatedPoset,
-    bar_involution,
-    bar_split,
     decomp_number,
+    family_entries,
     gamma_peel_matrix,
     interval_peel_matrix,
     peel_matrix,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,11 +27,13 @@ from .gamma import NotInGamma
 from .laurent import LaurentPoly, PositivityViolation
 from .params import ValidationError
 from .peeling import (
+    ENGINES,
     EngineDisagreement,
+    InvariantViolation,
     NonSaturatedPoset,
     decomp_number,
-    gamma_peel_matrix,
-    peel_matrix,
+    family_entries,
+    gamma_characters,
 )
 from .selfcheck import cross_validate
 from .tableaux import delta_character, enumerate_sstd
@@ -135,17 +138,14 @@ def cmd_validate(args):
 def cmd_gamma_set(args):
     _, gctx, _ = _load(args)
     gctx = _need_gamma(gctx)
-    edges = []
-    for i, lam in enumerate(gctx.elements):
-        for j, mu in enumerate(gctx.elements):
-            if i == j or not gctx.leq(mu, lam):
-                continue
-            # Hasse edge: nothing strictly between
-            if not any(
-                k not in (i, j) and gctx.leq(gctx.elements[k], lam) and gctx.leq(mu, gctx.elements[k])
-                for k in range(len(gctx.elements))
-            ):
-                edges.append([i, j])
+    strict = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
+    below = set(strict)
+    edges = [
+        [gctx.index[lam], gctx.index[mu]]
+        for lam, mu in strict
+        # Hasse edge: nothing strictly between
+        if not any((lam, xi) in below and (xi, mu) in below for xi in gctx.elements)
+    ]
     payload = {
         "top": multipartition_to_json(gctx.top),
         "bottom": multipartition_to_json(gctx.bottom),
@@ -187,6 +187,8 @@ def cmd_delta_char(args):
 
 
 def cmd_decomp(args):
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     ctx, gctx, _ = _load(args)
     gctx = _need_gamma(gctx)
     if args.pair:
@@ -199,73 +201,39 @@ def cmd_decomp(args):
             payload["valid_any_field"] = result.valid_any_field
         _emit(payload, args)
         return EXIT_OK
-    if args.engine == "nested":
-        from .terrain import nested_decomposition_number
-
-        order = list(gctx.elements)
-        entries_by_pair = {}
-        for lam in order:
-            for mu in order:
-                if gctx.leq(mu, lam):
-                    value = nested_decomposition_number(lam, mu, gctx).value
-                    if value:
-                        entries_by_pair[(lam, mu)] = value
-    else:
-        matrix = _matrix_with_jobs(gctx, args)
-        if args.engine == "both":
-            from .terrain import nested_decomposition_number
-
-            for lam in gctx.elements:
-                for mu in gctx.elements:
-                    if not gctx.leq(mu, lam):
-                        continue
-                    nested = nested_decomposition_number(lam, mu, gctx).value
-                    if nested != matrix.entry(lam, mu):
-                        raise EngineDisagreement(
-                            f"d[{lam},{mu}]: nested {nested} vs peeled {matrix.entry(lam, mu)}"
-                        )
-        order = matrix.order
-        entries_by_pair = matrix.d
-    index = {m: i for i, m in enumerate(order)}
-    ordered_items = sorted(
-        entries_by_pair.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])
-    )
-    entries = {
-        f"{index[lam]},{index[mu]}": poly.to_sorted_dict()
-        for (lam, mu), poly in ordered_items
-    }
-    rows = [[index[lam], index[mu], str(poly)] for (lam, mu), poly in ordered_items]
+    characters = None
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers > 1 and args.engine != "nested":
+        characters = _pool_characters(gctx, workers)
+    entries = family_entries(gctx, args.engine, characters)
+    index = gctx.index
+    cells = sorted((index[lam], index[mu], poly) for (lam, mu), poly in entries.items())
     payload = {
-        "order": [multipartition_to_json(m) for m in order],
-        "entries": entries,
-        "rows": rows,
+        "order": [multipartition_to_json(m) for m in gctx.elements],
+        "entries": {f"{i},{j}": poly.to_sorted_dict() for i, j, poly in cells},
+        "rows": [[i, j, str(poly)] for i, j, poly in cells],
         "columns": ["row", "col", "d"],
     }
     _emit(payload, args)
     return EXIT_OK
 
 
-def _matrix_with_jobs(gctx, args):
-    jobs = getattr(args, "jobs", 1) or 1
-    if jobs <= 1:
-        return gamma_peel_matrix(gctx)
+def _pool_characters(gctx, workers):
+    """Standard characters of the strictly comparable pairs, computed across
+    worker processes; the saturation probes on the other pairs stay in
+    this process."""
+    pairs = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
+    indexed = [(gctx.index[lam], gctx.index[mu]) for lam, mu in pairs]
     doc = context_to_json(gctx.ctx, gctx)
-    n = len(gctx.elements)
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if gctx.leq(gctx.elements[j], gctx.elements[i])
-    ]
-    table = {}
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(doc,)) as pool:
-        for i, j, coeffs in pool.map(_char_worker, pairs, chunksize=16):
-            table[(gctx.elements[i], gctx.elements[j])] = LaurentPoly.from_dict(coeffs)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(doc,)) as pool:
+        coeffs = pool.map(_char_worker, indexed, chunksize=16)
+        table = {pair: LaurentPoly.from_dict(c) for pair, c in zip(pairs, coeffs)}
+    probe = gamma_characters(gctx)
 
     def characters(lam, mu):
-        return table.get((lam, mu), LaurentPoly.zero())
+        return table[(lam, mu)] if (lam, mu) in table else probe(lam, mu)
 
-    return peel_matrix(gctx.elements, gctx.leq, characters)
+    return characters
 
 
 _WORKER_GCTX = None
@@ -279,8 +247,7 @@ def _init_worker(doc):
 def _char_worker(pair):
     i, j = pair
     g = _WORKER_GCTX
-    poly = delta_character(g.elements[i], g.elements[j], g.ctx, gctx=g)
-    return i, j, poly.to_sorted_dict()
+    return delta_character(g.elements[i], g.elements[j], g.ctx, gctx=g).to_sorted_dict()
 
 
 def cmd_terrain(args):
@@ -472,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decomp", help="graded decomposition numbers")
     common(p)
-    p.add_argument("--engine", choices=["nested", "kn", "both"], default="both")
+    p.add_argument("--engine", choices=ENGINES, default="both")
     p.add_argument("--pair", nargs=2, metavar=("SHAPE", "WEIGHT"))
     p.add_argument("--matrix", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
@@ -521,7 +488,7 @@ def main(argv=None) -> int:
     except EngineDisagreement as exc:
         print(json.dumps({"error": "engine disagreement", "detail": str(exc)}))
         return EXIT_DISAGREE
-    except (PositivityViolation, NonSaturatedPoset) as exc:
+    except (PositivityViolation, NonSaturatedPoset, InvariantViolation) as exc:
         print(json.dumps({"error": "computation failure", "detail": str(exc)}))
         return EXIT_COMPUTE
     except (ParseError, ValidationError, ValueError, NotInGamma, UnbalancedDecoration) as exc:

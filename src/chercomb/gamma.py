@@ -151,6 +151,11 @@ class GammaContext:
             x <= y for r in pa for x, y in zip(pa[r], pb[r])
         )
 
+    def comparable_pairs(self) -> list[tuple[Multipartition, Multipartition]]:
+        """Every (lam, mu) with mu <= lam, diagonal included, lam-major
+        along the order."""
+        return [(lam, mu) for lam in self.elements for mu in self.elements if self.leq(mu, lam)]
+
     def element_from_positions(self, positions: dict[int, tuple[int, ...]]) -> Multipartition:
         nodes = []
         for r, idxs in positions.items():

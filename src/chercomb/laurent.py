@@ -79,9 +79,6 @@ class LaurentPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def constant_term(self) -> int:
         return self.coeffs.get(0, 0)
 
@@ -192,10 +189,6 @@ class LaurentPoly:
             sign = "-" if c < 0 else ("+" if parts else "")
             parts.append(sign + body)
         return "".join(parts)
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
 
 
 def t_power(exp: int) -> LaurentPoly:

@@ -105,22 +105,6 @@ class ParamContext:
     def red_line(self, comp: int) -> ExactCoord:
         return ExactCoord(self.theta[comp - 1], 0)
 
-    # -- weighting classes ------------------------------------------------------
-
-    def well_separated_for(self, n: int) -> bool:
-        return all(
-            abs(self.theta[i] - self.theta[j]) > n * self.g
-            for i in range(self.level)
-            for j in range(i + 1, self.level)
-        )
-
-    def is_flotw(self) -> bool:
-        return all(
-            0 < abs(self.theta[i] - self.theta[j]) < self.g
-            for i in range(self.level)
-            for j in range(i + 1, self.level)
-        )
-
     def __repr__(self):
         e = "infinity" if self.e is None else self.e
         return (

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .gamma import GammaContext, NotInGamma
-from .laurent import LaurentPoly, PositivityViolation
+from .gamma import GammaContext
+from .laurent import LaurentPoly
 from .tableaux import delta_character
 from .terrain import NestedResult, field_validity, nested_decomposition_number
 
@@ -28,12 +28,11 @@ class EngineDisagreement(AssertionError):
     """The two decomposition-number engines returned different answers."""
 
 
-def bar_involution(f: LaurentPoly) -> LaurentPoly:
-    return f.bar()
+class InvariantViolation(AssertionError):
+    """A peeled matrix or its reassembly broke a structural invariant."""
 
 
-def bar_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    return f.bar_split()
+ENGINES = ("nested", "kn", "both")
 
 
 @dataclass
@@ -55,17 +54,17 @@ class DecompositionMatrix:
         one = LaurentPoly.one()
         for lam in self.order:
             if self.entry(lam, lam) != one:
-                raise AssertionError(f"diagonal entry at {lam} is {self.entry(lam, lam)}")
+                raise InvariantViolation(f"diagonal entry at {lam} is {self.entry(lam, lam)}")
         for (lam, mu), val in self.d.items():
             if lam == mu:
                 continue
             if val and not leq(mu, lam):
-                raise AssertionError(f"nonzero entry {val} on incomparable pair")
+                raise InvariantViolation(f"nonzero entry {val} on incomparable pair")
             if not (val.in_positive_degrees() and val.has_nonnegative_coeffs()):
-                raise AssertionError(f"entry d[{lam},{mu}] = {val} not in t.N[t]")
+                raise InvariantViolation(f"entry d[{lam},{mu}] = {val} not in t.N[t]")
         for (nu, mu), val in self.simple.items():
             if not (val.is_bar_invariant() and val.has_nonnegative_coeffs()):
-                raise AssertionError(f"simple character at ({nu},{mu}) = {val} invalid")
+                raise InvariantViolation(f"simple character at ({nu},{mu}) = {val} invalid")
 
 
 def peel_matrix(order, leq, characters, length=None) -> DecompositionMatrix:
@@ -147,53 +146,78 @@ def verify_reassembly(matrix: DecompositionMatrix, leq, characters) -> None:
                     total = total + matrix.entry(nu, xi) * matrix.simple_character(xi, mu)
             expected = characters(nu, mu)
             if total != expected:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"reassembly fails at ({nu}, {mu}): {total} != {expected}"
                 )
 
 
-def gamma_characters(gctx: GammaContext, degree_mode: str = "geometric"):
+def gamma_characters(gctx: GammaContext):
     """Standard characters over a GammaContext, as a callable for peel_matrix."""
     cache: dict = {}
 
     def characters(lam, mu) -> LaurentPoly:
         key = (lam, mu)
         if key not in cache:
-            cache[key] = delta_character(
-                lam, mu, gctx.ctx, gctx=gctx, degree_mode=degree_mode
-            )
+            cache[key] = delta_character(lam, mu, gctx.ctx, gctx=gctx)
         return cache[key]
 
     return characters
 
 
-def gamma_peel_matrix(gctx: GammaContext, degree_mode: str = "geometric") -> DecompositionMatrix:
-    """Full decomposition matrix of the subquotient indexed by the context."""
-    length = None
-    if gctx.single_residue and gctx.multiset:
-        length = lambda lam, mu: _sigma_distance(gctx, lam, mu)
-    return peel_matrix(
-        gctx.elements, gctx.leq, gamma_characters(gctx, degree_mode), length=length
-    )
+def gamma_peel_matrix(gctx: GammaContext, characters=None) -> DecompositionMatrix:
+    """Full decomposition matrix of the subquotient indexed by the context.
+
+    characters  (lam, mu) -> LaurentPoly; defaults to gamma_characters(gctx)
+    """
+    if characters is None:
+        characters = gamma_characters(gctx)
+    return peel_matrix(gctx.elements, gctx.leq, characters, length=_sigma_length(gctx))
 
 
-def _sigma_distance(gctx: GammaContext, lam, mu) -> int:
-    r = gctx.residue
-    a = gctx.added_positions(lam)[r]
-    b = gctx.added_positions(mu)[r]
-    return sum(y - x for x, y in zip(a, b))
-
-
-def interval_peel_matrix(
-    lam, mu, gctx: GammaContext, degree_mode: str = "geometric"
-) -> DecompositionMatrix:
+def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
     """Peel only the dominance interval [mu, lam], which is self-contained:
     characters vanish outside it, so the recursion never looks elsewhere."""
     members = [xi for xi in gctx.elements if gctx.leq(xi, lam) and gctx.leq(mu, xi)]
-    length = None
-    if gctx.single_residue and gctx.multiset:
-        length = lambda a, b: _sigma_distance(gctx, a, b)
-    return peel_matrix(members, gctx.leq, gamma_characters(gctx, degree_mode), length=length)
+    return peel_matrix(members, gctx.leq, gamma_characters(gctx), length=_sigma_length(gctx))
+
+
+def _sigma_length(gctx: GammaContext):
+    """Peel order of a single-residue family: the total slot distance from
+    lam's added nodes to mu's; None (order distance) otherwise."""
+    if not (gctx.single_residue and gctx.multiset):
+        return None
+    r = gctx.residue
+
+    def length(lam, mu) -> int:
+        a = gctx.added_positions(lam)[r]
+        b = gctx.added_positions(mu)[r]
+        return sum(y - x for x, y in zip(a, b))
+
+    return length
+
+
+def family_entries(gctx: GammaContext, engine: str, characters=None) -> dict:
+    """Nonzero decomposition numbers d[(lam, mu)] over the whole family.
+
+    Engines as in decomp_number; 'both' raises EngineDisagreement at the
+    first pair, lam-major along the order, where the engines differ.
+    characters is passed to gamma_peel_matrix for 'kn' and 'both'.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    peeled = gamma_peel_matrix(gctx, characters) if engine != "nested" else None
+    if engine == "kn":
+        return peeled.d
+    entries = {}
+    for lam, mu in gctx.comparable_pairs():
+        value = nested_decomposition_number(lam, mu, gctx).value
+        if peeled is not None and value != peeled.entry(lam, mu):
+            raise EngineDisagreement(
+                f"d[{lam},{mu}]: nested gives {value}, peeling gives {peeled.entry(lam, mu)}"
+            )
+        if value:
+            entries[(lam, mu)] = value
+    return entries
 
 
 class DecompResult(NamedTuple):
@@ -217,7 +241,7 @@ def decomp_number(lam, mu, gctx: GammaContext, engine: str = "both") -> DecompRe
     """
     gctx.require(lam)
     gctx.require(mu)
-    if engine not in ("nested", "kn", "both"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     nested: NestedResult | None = None
     peeled: LaurentPoly | None = None

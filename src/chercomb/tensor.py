@@ -78,7 +78,7 @@ class FactorReport:
     failure: str | None = None
 
 
-def factor_check(fctx: FactoredContext, degree_mode: str = "geometric") -> FactorReport:
+def factor_check(fctx: FactoredContext) -> FactorReport:
     """Verify degree additivity and matrix factorization over every pair.
 
     Both sides are computed independently: the left from the full context,
@@ -124,11 +124,8 @@ def factor_check(fctx: FactoredContext, degree_mode: str = "geometric") -> Facto
                     )
 
     # decomposition-matrix factorization
-    full = gamma_peel_matrix(gctx, degree_mode=degree_mode)
-    children_matrices = {
-        r: gamma_peel_matrix(fctx.children[r], degree_mode=degree_mode)
-        for r in fctx.active_residues
-    }
+    full = gamma_peel_matrix(gctx)
+    children_matrices = {r: gamma_peel_matrix(fctx.children[r]) for r in fctx.active_residues}
     for lam in gctx.elements:
         parts_l = psi_multipartition(lam, fctx)
         for mu in gctx.elements:

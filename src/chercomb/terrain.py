@@ -60,9 +60,6 @@ class DecoratedTerrain:
     closes: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]  # (open edge, close edge), nested
 
-    def edge_count(self) -> int:
-        return len(self.terrain)
-
 
 def decorate(mu, lam, residue, ctx: ParamContext) -> DecoratedTerrain:
     """Decorate the terrain of mu with the nodes moved to reach lam.

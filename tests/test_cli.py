@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import chercomb.cli as cli
+import chercomb.peeling as peeling
+from chercomb import LaurentPoly
 from chercomb.cli import main
 from chercomb.contextio import context_to_json, parse_context, ParseError
 
@@ -13,6 +16,18 @@ HOOK_CONTEXT = {
     "gamma": [[5, 1, 1, 1, 1]],
     "residues": [0],
     "multiset": {"0": 1},
+}
+
+# The criterion-5(b) FLOTW base with two 0-nodes added: 45 members, some
+# of them incomparable.
+FLOTW2_CONTEXT = {
+    "e": 3,
+    "multicharge": [2, 1],
+    "theta": ["0", "1"],
+    "g": "2",
+    "gamma": [[7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1]],
+    "residues": [0],
+    "multiset": {"0": 2},
 }
 
 DECORATION_CONTEXT = {
@@ -27,6 +42,13 @@ DECORATION_CONTEXT = {
 def hook_file(tmp_path):
     path = tmp_path / "hook.json"
     path.write_text(json.dumps(HOOK_CONTEXT))
+    return str(path)
+
+
+@pytest.fixture
+def flotw2_file(tmp_path):
+    path = tmp_path / "flotw2.json"
+    path.write_text(json.dumps(FLOTW2_CONTEXT))
     return str(path)
 
 
@@ -242,9 +264,85 @@ def test_tensor_factor_command(capsys, tmp_path):
     assert payload["verified"] and payload["family_size"] == 20
 
 
-def test_decomp_matrix_with_jobs(capsys, hook_file):
-    code, out = run(capsys, "decomp", hook_file, "--matrix", "--engine", "kn", "--jobs", "2")
+@pytest.mark.parametrize("engine", ["kn", "both"])
+def test_decomp_matrix_with_jobs(capsys, tmp_path, flotw2_file, engine):
+    outs = []
+    for jobs in ("1", "2"):
+        dest = tmp_path / f"jobs{jobs}.json"
+        argv = ["decomp", flotw2_file, "--matrix", "--engine", engine, "--jobs", jobs]
+        code, _ = run(capsys, *argv, "--out", str(dest))
+        assert code == 0
+        outs.append(dest.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["order"]) == 45
+
+
+def _stub_characters(monkeypatch, fake):
+    """Route the peeling engine's characters through fake(lam, mu, gctx, true)."""
+    real = peeling.delta_character
+
+    def stub(lam, mu, ctx, gctx=None):
+        return fake(lam, mu, gctx, real(lam, mu, ctx, gctx=gctx))
+
+    monkeypatch.setattr(peeling, "delta_character", stub)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_decomp_matrix_saturation_probe(capsys, monkeypatch, flotw2_file, jobs):
+    def fake(lam, mu, gctx, true):
+        return LaurentPoly.one() if lam != mu and not gctx.leq(mu, lam) else true
+
+    _stub_characters(monkeypatch, fake)
+    code, out = run(capsys, "decomp", flotw2_file, "--matrix", "--engine", "kn", "--jobs", jobs)
+    assert code == 2
+    assert "incomparable pair" in json.loads(out)["detail"]
+
+
+def test_decomp_matrix_invariant_failure(capsys, monkeypatch, hook_file):
+    def fake(lam, mu, gctx, true):
+        return LaurentPoly({0: -1}) if lam != mu and true else true
+
+    _stub_characters(monkeypatch, fake)
+    code, out = run(capsys, "decomp", hook_file, "--matrix", "--engine", "kn")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "computation failure"
+    assert "simple character" in payload["detail"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_decomp_rejects_jobs_below_one(capsys, hook_file, jobs):
+    code, out = run(capsys, "decomp", hook_file, "--matrix", "--jobs", jobs)
+    assert code == 1
+    assert "--jobs" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("engine, pools", [("nested", []), ("kn", [3]), ("both", [3])])
+def test_decomp_pool_workers(capsys, monkeypatch, hook_file, engine, pools):
+    """The pool is built only when characters are needed, with at most
+    os.cpu_count() workers; the stub runs the work in this process."""
+    built = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_WORKER_GCTX", None)
+    code, out = run(capsys, "decomp", hook_file, "--matrix", "--engine", engine, "--jobs", "8")
     assert code == 0
+    assert built == pools
     assert json.loads(out)["entries"]["0,2"] == {"2": 1}
 
 

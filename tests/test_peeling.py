@@ -6,10 +6,9 @@ from chercomb import (
     NonSaturatedPoset,
     ParamContext,
     PositivityViolation,
-    bar_involution,
-    bar_split,
     build_gamma_set,
     decomp_number,
+    family_entries,
     gamma_peel_matrix,
     interval_peel_matrix,
     mp,
@@ -17,20 +16,6 @@ from chercomb import (
     verify_reassembly,
 )
 from chercomb.peeling import gamma_characters
-
-
-def test_bar_involution():
-    assert bar_involution(LaurentPoly.one()) == LaurentPoly.one()
-    assert bar_involution(LaurentPoly({2: 1, -1: 3})) == LaurentPoly({-2: 1, 1: 3})
-
-
-def test_bar_split_examples():
-    d, l = bar_split(LaurentPoly({1: 1, -1: 1}))
-    assert (d, l) == (LaurentPoly.zero(), LaurentPoly({1: 1, -1: 1}))
-    d, l = bar_split(LaurentPoly({2: 1, 0: 1}))
-    assert (d, l) == (LaurentPoly({2: 1}), LaurentPoly.one())
-    d, l = bar_split(LaurentPoly({3: 2, 1: 1, -1: 1}))
-    assert (d, l) == (LaurentPoly({3: 2}), LaurentPoly({1: 1, -1: 1}))
 
 
 def test_single_element_matrix(ctx_e5):
@@ -136,3 +121,15 @@ def test_engine_disagreement_is_not_silent(gctx_hook, monkeypatch):
     monkeypatch.setattr(peeling, "nested_decomposition_number", fake_nested)
     with pytest.raises(EngineDisagreement):
         peeling.decomp_number(top, bottom, gctx_hook, engine="both")
+    with pytest.raises(EngineDisagreement):
+        peeling.family_entries(gctx_hook, "both")
+
+
+def test_family_entries_engines(gctx_hook):
+    kn = family_entries(gctx_hook, "kn")
+    assert family_entries(gctx_hook, "nested") == kn == family_entries(gctx_hook, "both")
+    a, b, c = gctx_hook.elements
+    t = LaurentPoly.monomial
+    assert kn == {(a, a): t(0), (b, b): t(0), (c, c): t(0), (a, b): t(1), (b, c): t(1), (a, c): t(2)}
+    with pytest.raises(ValueError, match="unknown engine"):
+        family_entries(gctx_hook, "lattice")
