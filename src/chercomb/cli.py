@@ -38,7 +38,7 @@ from .peeling import (
 from .selfcheck import cross_validate
 from .tableaux import delta_character, enumerate_sstd
 from .tensor import factor_check, factor_context, psi_multipartition
-from .terrain import UnbalancedDecoration, decorate, terrain_of
+from .terrain import UnbalancedDecoration, decorate, latticed_paths, terrain_of
 from .transport import TransportMap
 from .render import terrain_ascii, terrain_svg
 
@@ -56,6 +56,11 @@ def _emit(payload, args):
         text = _to_latex(payload)
     else:
         raise ValueError(f"unknown format {fmt}")
+    _write(text, args)
+
+
+def _write(text, args):
+    """Write text to --out when given, else to stdout."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -110,9 +115,9 @@ def _load(args, attr="context"):
     return ctx, gctx, eps
 
 
-def _need_gamma(gctx):
+def _need_gamma(gctx, what="this command"):
     if gctx is None:
-        raise ValidationError("this command needs gamma/residues/multiset in the context file")
+        raise ValidationError(f"{what} needs gamma/residues/multiset in the context file")
     return gctx
 
 
@@ -162,7 +167,8 @@ def cmd_tableaux(args):
     ctx, gctx, _ = _load(args)
     lam = _mp_arg(args.shape, "shape")
     mu = _mp_arg(args.weight, "weight")
-    tabs = enumerate_sstd(lam, mu, ctx, gctx if args.restricted else None)
+    gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
+    tabs = enumerate_sstd(lam, mu, ctx, gctx)
     rows = []
     for tab in tabs:
         moved = {str(a): str(b) for a, b in sorted(tab.mapping.items()) if a != b}
@@ -181,7 +187,8 @@ def cmd_delta_char(args):
     ctx, gctx, _ = _load(args)
     lam = _mp_arg(args.shape, "shape")
     mu = _mp_arg(args.weight, "weight")
-    poly = delta_character(lam, mu, ctx, gctx if args.restricted else None)
+    gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
+    poly = delta_character(lam, mu, ctx, gctx)
     _emit(_poly_payload(poly), args)
     return EXIT_OK
 
@@ -264,23 +271,16 @@ def cmd_terrain(args):
         lam = _mp_arg(args.decorate, "decorate")
         dt = decorate(mu, lam, residue, ctx)
     if args.render == "svg":
-        text = terrain_svg(terr, dt)
-        out = getattr(args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(terrain_svg(terr, dt), args)
         return EXIT_OK
     if args.render == "ascii":
-        print(terrain_ascii(terr, dt))
+        blocks = [terrain_ascii(terr, dt)]
         if args.paths and dt is not None:
-            from .terrain import latticed_paths
-
             for pair in dt.pairs:
                 for p in latticed_paths(dt, pair):
-                    print(f"pair {pair}, norm {p.norm}:")
-                    print(terrain_ascii(terr, dt, path=p))
+                    blocks.append(f"pair {pair}, norm {p.norm}:")
+                    blocks.append(terrain_ascii(terr, dt, path=p))
+        _write("\n".join(blocks), args)
         return EXIT_OK
     payload = {
         "residue": residue,
@@ -383,6 +383,8 @@ def cmd_tensor_factor(args):
 
 
 def cmd_selfcheck(args):
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
     run = cross_validate(count=args.count, seed=args.seed)
     payload = {
         "contexts": run.contexts,

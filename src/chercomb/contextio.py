@@ -13,7 +13,7 @@ import os
 
 from .coords import as_fraction
 from .gamma import GammaContext, build_gamma_set
-from .params import ParamContext, ValidationError
+from .params import ParamContext, field_value
 from .partitions import Multipartition
 
 
@@ -56,14 +56,9 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
     for key in ("e", "multicharge", "theta", "g"):
         if key not in doc:
             raise ParseError(f"{key}: missing required field")
-    try:
-        ctx = ParamContext(doc["e"], doc["multicharge"], doc["theta"], doc["g"])
-    except (ValidationError, ValueError, TypeError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ParseError(str(exc)) from exc
+    ctx = ParamContext(doc["e"], doc["multicharge"], doc["theta"], doc["g"])
 
-    eps_display = as_fraction(doc.get("epsilon_display", "1/100"))
+    eps_display = field_value("epsilon_display", as_fraction, doc.get("epsilon_display", "1/100"))
 
     gctx = None
     if "gamma" in doc:
@@ -80,11 +75,13 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
             raise ParseError("multiset: required when gamma is present")
         if not isinstance(multiset_doc, dict):
             raise ParseError("multiset: expected an object residue -> count")
-        try:
-            multiset = {int(k): int(v) for k, v in multiset_doc.items()}
-        except ValueError as exc:
-            raise ParseError(f"multiset: {exc}") from exc
-        gctx = build_gamma_set(gamma, [int(r) for r in residues], multiset, ctx)
+        multiset = field_value(
+            "multiset", lambda m: {int(k): int(v) for k, v in m.items()}, multiset_doc
+        )
+        if any(v < 0 for v in multiset.values()):
+            raise ParseError(f"multiset: counts must be non-negative, got {multiset_doc}")
+        residues = field_value("residues", lambda rs: [int(r) for r in rs], residues)
+        gctx = build_gamma_set(gamma, residues, multiset, ctx)
     return ctx, gctx, eps_display
 
 

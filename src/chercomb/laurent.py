@@ -65,9 +65,6 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * c for e, c in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
@@ -81,9 +78,6 @@ class LaurentPoly:
 
     def constant_term(self) -> int:
         return self.coeffs.get(0, 0)
-
-    def coefficient(self, exp: int) -> int:
-        return self.coeffs.get(exp, 0)
 
     def exponents(self):
         return sorted(self.coeffs)

@@ -18,6 +18,17 @@ class ValidationError(ValueError):
     """A context failed validation; the message carries the field path."""
 
 
+def field_value(name: str, convert, value):
+    """convert(value), with a failure reported as a ValidationError whose
+    message starts with the field name."""
+    try:
+        return convert(value)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+
+
 INFINITY_TOKENS = {"infinity", "inf", "oo", None}
 
 
@@ -39,10 +50,12 @@ class ParamContext:
     __slots__ = ("e", "level", "multicharge", "theta", "g")
 
     def __init__(self, e, multicharge, theta, g):
-        self.e = parse_quantum_char(e)
-        self.multicharge = tuple(self.residue(int(k)) for k in multicharge)
-        self.theta = tuple(as_fraction(x) for x in theta)
-        self.g = as_fraction(g)
+        self.e = field_value("e", parse_quantum_char, e)
+        self.multicharge = field_value(
+            "multicharge", lambda ks: tuple(self.residue(int(k)) for k in ks), multicharge
+        )
+        self.theta = field_value("theta", lambda xs: tuple(as_fraction(x) for x in xs), theta)
+        self.g = field_value("g", as_fraction, g)
         self.level = len(self.multicharge)
         self._validate()
 

@@ -67,67 +67,54 @@ class DecompositionMatrix:
                 raise InvariantViolation(f"simple character at ({nu},{mu}) = {val} invalid")
 
 
-def peel_matrix(order, leq, characters, length=None) -> DecompositionMatrix:
+def peel_matrix(order, leq, characters) -> DecompositionMatrix:
     """Run the peeling recursion over an explicitly given poset.
 
     order       linear extension of the dominance order (most dominant first)
     leq         leq(mu, lam) for the dominance order
     characters  (lam, mu) -> LaurentPoly, the graded standard characters
-    length      optional (lam, mu) -> int controlling processing order;
-                defaults to distance in the linear extension
 
-    Pairs are processed by increasing length so every strictly intermediate
-    decomposition number and simple character exists when needed.
+    leq and characters are each asked once per ordered pair of distinct
+    members.  Rows lam are peeled from the bottom of the order up and each
+    row left to right, so d[lam, xi] and simple[xi, mu] already exist for
+    every xi strictly between; the correction sums only over those xi.  A
+    pair with mu not below lam is a saturation probe: its character must
+    vanish, else NonSaturatedPoset.  The split is unique, so the result
+    does not depend on which linear extension is given.
     """
-    pos = {x: i for i, x in enumerate(order)}
-    if length is None:
-        length = lambda lam, mu: pos[mu] - pos[lam]
-
-    def char(lam, mu) -> LaurentPoly:
-        val = characters(lam, mu)
-        if val and lam != mu and not leq(mu, lam):
-            raise NonSaturatedPoset(
-                f"nonzero character on incomparable pair ({lam}, {mu})"
-            )
-        return val
-
-    comparable = []
-    for lam in order:
-        for mu in order:
-            if lam is mu or lam == mu:
-                continue
-            if not leq(mu, lam):
-                # saturation probe: a nonzero character forces comparability
-                char(lam, mu)
-            elif pos[mu] >= pos[lam]:
-                comparable.append((lam, mu))
-    comparable.extend((x, x) for x in order)
-    comparable.sort(key=lambda p: length(*p))
-
+    n = len(order)
+    # below[i][j]: order[j] <= order[i]
+    below = [[i == j or leq(mu, lam) for j, mu in enumerate(order)] for i, lam in enumerate(order)]
     matrix = DecompositionMatrix(order=list(order))
     one = LaurentPoly.one()
-    below: dict = {x: [y for y in order if pos[y] >= pos[x]] for x in order}
-    for lam, mu in comparable:
-        if lam == mu:
-            matrix.d[(lam, mu)] = one
-            matrix.simple[(lam, mu)] = one
-            continue
-        f = char(lam, mu)
-        for xi in below[lam]:
-            if xi == lam or xi == mu:
+    for i in reversed(range(n)):
+        lam = order[i]
+        matrix.d[(lam, lam)] = one
+        matrix.simple[(lam, lam)] = one
+        # members strictly below lam, in order
+        down = [k for k in range(i + 1, n) if below[i][k]]
+        for j, mu in enumerate(order):
+            if j == i or (below[i][j] and j < i):
                 continue
-            if not (leq(xi, lam) and leq(mu, xi)):
+            f = characters(lam, mu)
+            if not below[i][j]:
+                if f:
+                    raise NonSaturatedPoset(f"nonzero character on incomparable pair ({lam}, {mu})")
                 continue
-            d_lx = matrix.d.get((lam, xi))
-            if d_lx:
-                l_xm = matrix.simple.get((xi, mu))
-                if l_xm:
-                    f = f - d_lx * l_xm
-        d, l = f.bar_split()
-        if d:
-            matrix.d[(lam, mu)] = d
-        if l:
-            matrix.simple[(lam, mu)] = l
+            for k in down:
+                if k >= j:
+                    break
+                if below[k][j]:
+                    xi = order[k]
+                    d_lx = matrix.d.get((lam, xi))
+                    l_xm = matrix.simple.get((xi, mu))
+                    if d_lx and l_xm:
+                        f = f - d_lx * l_xm
+            d, l = f.bar_split()
+            if d:
+                matrix.d[(lam, mu)] = d
+            if l:
+                matrix.simple[(lam, mu)] = l
     matrix.check_invariants(leq)
     return matrix
 
@@ -153,13 +140,9 @@ def verify_reassembly(matrix: DecompositionMatrix, leq, characters) -> None:
 
 def gamma_characters(gctx: GammaContext):
     """Standard characters over a GammaContext, as a callable for peel_matrix."""
-    cache: dict = {}
 
     def characters(lam, mu) -> LaurentPoly:
-        key = (lam, mu)
-        if key not in cache:
-            cache[key] = delta_character(lam, mu, gctx.ctx, gctx=gctx)
-        return cache[key]
+        return delta_character(lam, mu, gctx.ctx, gctx=gctx)
 
     return characters
 
@@ -171,29 +154,18 @@ def gamma_peel_matrix(gctx: GammaContext, characters=None) -> DecompositionMatri
     """
     if characters is None:
         characters = gamma_characters(gctx)
-    return peel_matrix(gctx.elements, gctx.leq, characters, length=_sigma_length(gctx))
+    return peel_matrix(gctx.elements, gctx.leq, characters)
 
 
 def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
     """Peel only the dominance interval [mu, lam], which is self-contained:
-    characters vanish outside it, so the recursion never looks elsewhere."""
+    characters vanish outside it, so the recursion never looks elsewhere.
+
+    The interval is [lam] when mu == lam and empty when mu is not below
+    lam, so entry(lam, mu) is then 1 or 0 without a character computed.
+    """
     members = [xi for xi in gctx.elements if gctx.leq(xi, lam) and gctx.leq(mu, xi)]
-    return peel_matrix(members, gctx.leq, gamma_characters(gctx), length=_sigma_length(gctx))
-
-
-def _sigma_length(gctx: GammaContext):
-    """Peel order of a single-residue family: the total slot distance from
-    lam's added nodes to mu's; None (order distance) otherwise."""
-    if not (gctx.single_residue and gctx.multiset):
-        return None
-    r = gctx.residue
-
-    def length(lam, mu) -> int:
-        a = gctx.added_positions(lam)[r]
-        b = gctx.added_positions(mu)[r]
-        return sum(y - x for x, y in zip(a, b))
-
-    return length
+    return peel_matrix(members, gctx.leq, gamma_characters(gctx))
 
 
 def family_entries(gctx: GammaContext, engine: str, characters=None) -> dict:
@@ -248,13 +220,7 @@ def decomp_number(lam, mu, gctx: GammaContext, engine: str = "both") -> DecompRe
     if engine in ("nested", "both"):
         nested = nested_decomposition_number(lam, mu, gctx)
     if engine in ("kn", "both"):
-        if lam == mu:
-            peeled = LaurentPoly.one()
-        elif not gctx.leq(mu, lam):
-            peeled = LaurentPoly.zero()
-        else:
-            matrix = interval_peel_matrix(lam, mu, gctx)
-            peeled = matrix.entry(lam, mu)
+        peeled = interval_peel_matrix(lam, mu, gctx).entry(lam, mu)
     if engine == "both" and nested.value != peeled:
         raise EngineDisagreement(
             f"d[{lam},{mu}]: nested gives {nested.value}, peeling gives {peeled}"

@@ -24,10 +24,6 @@ from .params import ParamContext
 from .partitions import Multipartition, Node
 
 
-class ContextMismatch(ValueError):
-    pass
-
-
 class Tableau:
     """A residue-preserving bijection from nodes of the shape to nodes of
     the weight, stored node-to-node via loading provenance."""
@@ -286,84 +282,16 @@ def _cross(s1, t1, s2, t2) -> bool:
     return (s1 < s2) != (t1 < t2)
 
 
-def index_pair_degree(pairs_by_residue) -> int:
-    """Degree of a base-pinned tableau from its added-node index pairs alone.
-
-    Each strand climbing from addable slot s to slot t passes t - s visible
-    diagonals (+1 each, invisible ones are free), and every same-residue
-    interleaving pair of strands costs a -2 crossing.
-    """
-    deg = 0
-    for pairs in pairs_by_residue.values():
-        for s, t in pairs:
-            deg += t - s
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                s1, t1 = pairs[i]
-                s2, t2 = pairs[j]
-                if (s1 < s2) != (t1 < t2):
-                    deg -= 2
-    return deg
-
-
-def tableau_index_pairs(tab: Tableau, gctx: GammaContext):
-    """Added-node index pairs of a base-pinned tableau, per residue."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for r, positions in gctx.added_positions(tab.shape).items():
-        nodes = gctx.addable[r]
-        slot = {node: i for i, node in enumerate(nodes, start=1)}
-        pairs = []
-        for s in positions:
-            target = tab.mapping[nodes[s - 1]]
-            pairs.append((s, slot[target]))
-        if pairs:
-            out[r] = pairs
-    return out
-
-
 # ---------------------------------------------------------------------------
 # graded characters
 # ---------------------------------------------------------------------------
 
 
-def delta_character(
-    lam,
-    mu,
-    ctx: ParamContext,
-    gctx: GammaContext | None = None,
-    degree_mode: str = "geometric",
-) -> LaurentPoly:
+def delta_character(lam, mu, ctx: ParamContext, gctx: GammaContext | None = None) -> LaurentPoly:
     """Graded dimension of the mu-weight space of the standard module of lam:
     the sum of t^deg(T) over semistandard tableaux."""
-    if degree_mode == "fast":
-        if gctx is None:
-            raise ContextMismatch("fast degree mode needs a GammaContext")
-        return _delta_character_fast(lam, mu, gctx)
     coeffs: dict[int, int] = {}
     for tab in enumerate_sstd(lam, mu, ctx, gctx):
         d = tab.degree(ctx)
-        coeffs[d] = coeffs.get(d, 0) + 1
-    return LaurentPoly(coeffs)
-
-
-def _delta_character_fast(lam, mu, gctx: GammaContext) -> LaurentPoly:
-    """Character via index combinatorics only (single-residue contexts).
-
-    Justified by the degree-preservation of the slot-indexed transport; the
-    geometric path stays available as the reference implementation and the
-    two are cross-checked in the test suite.
-    """
-    if not gctx.single_residue:
-        raise ContextMismatch("fast degree mode is limited to single-residue contexts")
-    gctx.require(lam)
-    gctx.require(mu)
-    if lam == mu:
-        return LaurentPoly.one()
-    r = gctx.residue
-    src = gctx.added_positions(lam)[r]
-    dst = gctx.added_positions(mu)[r]
-    coeffs: dict[int, int] = {}
-    for pairs in iter_index_bijections(src, dst):
-        d = index_pair_degree({r: pairs})
         coeffs[d] = coeffs.get(d, 0) + 1
     return LaurentPoly(coeffs)

@@ -93,7 +93,3 @@ class TransportMap:
         mu = self.multipartition(tab.weight)
         word = component_word(tab, self.source)
         return tableau_from_word(lam, mu, word, self.target)
-
-
-def identity_transport(gctx: GammaContext) -> TransportMap:
-    return TransportMap(gctx, gctx)

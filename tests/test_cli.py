@@ -365,3 +365,53 @@ def test_out_file(capsys, tmp_path, hook_file):
     code, _ = run(capsys, "validate", hook_file, "--out", str(dest))
     assert code == 0
     assert json.loads(dest.read_text())["valid"]
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_selfcheck_rejects_count_below_one(capsys, count):
+    code, out = run(capsys, "selfcheck", "--count", count)
+    assert code == 1
+    assert "--count" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("command", ["tableaux", "delta-char"])
+def test_restricted_needs_gamma(capsys, command):
+    doc = json.dumps({"e": 5, "multicharge": [0], "theta": ["0"], "g": "1"})
+    code, out = run(capsys, command, doc, "[[2]]", "[[1,1]]", "--restricted")
+    assert code == 1
+    assert "--restricted" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("render", ["ascii", "svg"])
+def test_terrain_render_out_file(capsys, tmp_path, render):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(DECORATION_CONTEXT))
+    mu = "[[1],[1],[],[],[1],[],[1],[],[1],[1]]"
+    lam = "[[1],[1],[1],[1],[],[1],[1],[],[],[]]"
+    argv = ["terrain", str(path), mu, "--decorate", lam, "--residue", "1", "--render", render, "--paths"]
+    code, printed = run(capsys, *argv)
+    assert code == 0
+    dest = tmp_path / "terrain.txt"
+    code, out = run(capsys, *argv, "--out", str(dest))
+    assert code == 0 and out == ""
+    assert dest.read_text() == printed
+    if render == "ascii":
+        assert "norm" in printed
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("e", "abc"),
+        ("multicharge", ["q"]),
+        ("theta", ["zz"]),
+        ("g", "x"),
+        ("residues", ["a"]),
+        ("multiset", {"0": -1}),
+        ("epsilon_display", "x"),
+    ],
+)
+def test_bad_context_field_is_named(capsys, field, value):
+    code, out = run(capsys, "validate", json.dumps({**HOOK_CONTEXT, field: value}))
+    assert code == 1
+    assert json.loads(out)["detail"].startswith(f"{field}:")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from chercomb import (
@@ -133,3 +135,48 @@ def test_family_entries_engines(gctx_hook):
     assert kn == {(a, a): t(0), (b, b): t(0), (c, c): t(0), (a, b): t(1), (b, c): t(1), (a, c): t(2)}
     with pytest.raises(ValueError, match="unknown engine"):
         family_entries(gctx_hook, "lattice")
+
+
+def _linear_extension(gctx, pick):
+    """A linear extension of the family's dominance order that takes
+    maximal[pick] among the maximal members left at each step."""
+    rest = list(gctx.elements)
+    order = []
+    while rest:
+        maximal = [x for x in rest if not any(y != x and gctx.leq(x, y) for y in rest)]
+        order.append(maximal[pick])
+        rest.remove(maximal[pick])
+    return order
+
+
+@pytest.mark.parametrize("family", ["gctx_hook", "gctx_admissible_pair", "gctx_runner"])
+def test_peel_independent_of_linear_extension(request, family):
+    gctx = request.getfixturevalue(family)
+    first, last = _linear_extension(gctx, 0), _linear_extension(gctx, -1)
+    chain = all(gctx.leq(x, y) or gctx.leq(y, x) for x in gctx.elements for y in gctx.elements)
+    assert (first == last) == chain
+    known: dict = {}
+    real = gamma_characters(gctx)
+
+    def characters(lam, mu):
+        if (lam, mu) not in known:
+            known[(lam, mu)] = real(lam, mu)
+        return known[(lam, mu)]
+
+    a = peel_matrix(first, gctx.leq, characters)
+    b = peel_matrix(last, gctx.leq, characters)
+    assert a.d == b.d and a.simple == b.simple
+
+
+def test_peel_asks_each_pair_once(gctx_admissible_pair):
+    gctx = gctx_admissible_pair
+    asked = Counter()
+    real = gamma_characters(gctx)
+
+    def characters(lam, mu):
+        asked[(lam, mu)] += 1
+        return real(lam, mu)
+
+    peel_matrix(gctx.elements, gctx.leq, characters)
+    elements = gctx.elements
+    assert asked == Counter({(lam, mu): 1 for lam in elements for mu in elements if lam != mu})

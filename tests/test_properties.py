@@ -21,7 +21,6 @@ from chercomb.diagonals import ChiSymbol
 from chercomb.equivalence import neighbours, visible_invariant
 from chercomb.partitions import Multipartition
 from chercomb.selfcheck import random_single_residue_context
-from chercomb.tableaux import delta_character
 
 
 @st.composite
@@ -138,19 +137,6 @@ def test_gamma_leq_matches_loading_dominance(seed):
     for lam in gctx.elements:
         for mu in gctx.elements:
             assert gctx.leq(mu, lam) == theta_leq(mu, lam, ctx)
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=20, deadline=None)
-def test_fast_character_matches_geometric(seed):
-    rng = random.Random(seed)
-    gctx = random_single_residue_context(rng, max_level=2, max_addable=5, max_added=3, max_base_size=8)
-    ctx = gctx.ctx
-    for lam in gctx.elements:
-        for mu in gctx.elements:
-            assert delta_character(lam, mu, ctx, gctx=gctx) == delta_character(
-                lam, mu, ctx, gctx=gctx, degree_mode="fast"
-            )
 
 
 @st.composite

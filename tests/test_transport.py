@@ -13,7 +13,6 @@ from chercomb import (
     sigma_indices,
     tableau_from_word,
 )
-from chercomb.transport import identity_transport
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def test_component_word_round_trip(gctx_hook):
 
 
 def test_identity_transport(gctx_hook):
-    tmap = identity_transport(gctx_hook)
+    tmap = TransportMap(gctx_hook, gctx_hook)
     for lam in gctx_hook.elements:
         assert tmap.multipartition(lam) == lam
 
