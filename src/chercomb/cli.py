@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .contextio import (
     ParseError,
@@ -33,7 +31,6 @@ from .peeling import (
     NonSaturatedPoset,
     decomp_number,
     family_entries,
-    gamma_characters,
 )
 from .selfcheck import cross_validate
 from .tableaux import delta_character, enumerate_sstd
@@ -194,8 +191,6 @@ def cmd_delta_char(args):
 
 
 def cmd_decomp(args):
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     ctx, gctx, _ = _load(args)
     gctx = _need_gamma(gctx)
     if args.pair:
@@ -208,11 +203,7 @@ def cmd_decomp(args):
             payload["valid_any_field"] = result.valid_any_field
         _emit(payload, args)
         return EXIT_OK
-    characters = None
-    workers = min(args.jobs, os.cpu_count() or 1)
-    if workers > 1 and args.engine != "nested":
-        characters = _pool_characters(gctx, workers)
-    entries = family_entries(gctx, args.engine, characters)
+    entries = family_entries(gctx, args.engine)
     index = gctx.index
     cells = sorted((index[lam], index[mu], poly) for (lam, mu), poly in entries.items())
     payload = {
@@ -223,38 +214,6 @@ def cmd_decomp(args):
     }
     _emit(payload, args)
     return EXIT_OK
-
-
-def _pool_characters(gctx, workers):
-    """Standard characters of the strictly comparable pairs, computed across
-    worker processes; the saturation probes on the other pairs stay in
-    this process."""
-    pairs = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
-    indexed = [(gctx.index[lam], gctx.index[mu]) for lam, mu in pairs]
-    doc = context_to_json(gctx.ctx, gctx)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(doc,)) as pool:
-        coeffs = pool.map(_char_worker, indexed, chunksize=16)
-        table = {pair: LaurentPoly.from_dict(c) for pair, c in zip(pairs, coeffs)}
-    probe = gamma_characters(gctx)
-
-    def characters(lam, mu):
-        return table[(lam, mu)] if (lam, mu) in table else probe(lam, mu)
-
-    return characters
-
-
-_WORKER_GCTX = None
-
-
-def _init_worker(doc):
-    global _WORKER_GCTX
-    _WORKER_GCTX = parse_context(doc)[1]
-
-
-def _char_worker(pair):
-    i, j = pair
-    g = _WORKER_GCTX
-    return delta_character(g.elements[i], g.elements[j], g.ctx, gctx=g).to_sorted_dict()
 
 
 def cmd_terrain(args):
@@ -444,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES, default="both")
     p.add_argument("--pair", nargs=2, metavar=("SHAPE", "WEIGHT"))
     p.add_argument("--matrix", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("terrain", help="terrain of a weight, optionally decorated")

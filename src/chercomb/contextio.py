@@ -13,7 +13,7 @@ import os
 
 from .coords import as_fraction
 from .gamma import GammaContext, build_gamma_set
-from .params import ParamContext, field_value
+from .params import ParamContext, exact_int, field_value
 from .partitions import Multipartition
 
 
@@ -25,7 +25,7 @@ def parse_multipartition(data, path="multipartition") -> Multipartition:
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise ParseError(f"{path}: expected a list of integer lists")
     try:
-        return Multipartition([tuple(int(p) for p in comp) for comp in data])
+        return Multipartition([tuple(exact_int(p) for p in comp) for comp in data])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -76,11 +76,13 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
         if not isinstance(multiset_doc, dict):
             raise ParseError("multiset: expected an object residue -> count")
         multiset = field_value(
-            "multiset", lambda m: {int(k): int(v) for k, v in m.items()}, multiset_doc
+            "multiset", lambda m: {int(k): exact_int(v) for k, v in m.items()}, multiset_doc
         )
         if any(v < 0 for v in multiset.values()):
             raise ParseError(f"multiset: counts must be non-negative, got {multiset_doc}")
-        residues = field_value("residues", lambda rs: [int(r) for r in rs], residues)
+        if not isinstance(residues, list):
+            raise ParseError(f"residues: expected a list of residues, got {residues!r}")
+        residues = field_value("residues", lambda rs: [exact_int(r) for r in rs], residues)
         gctx = build_gamma_set(gamma, residues, multiset, ctx)
     return ctx, gctx, eps_display
 

@@ -5,6 +5,9 @@ has the form  q + m*eps  with q rational and m a nonnegative integer.
 The tilt eps is never given a number: it is positive and smaller than every
 rational gap that can occur, so comparison is lexicographic on (q, m).
 A numeric rendering mode substitutes a user-supplied value for display.
+
+ExactCoord stays the exact definition; `ParamContext.node_key` is its
+packed order, an int per node for the tableau degree's inner loop.
 """
 
 from __future__ import annotations

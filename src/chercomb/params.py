@@ -4,14 +4,21 @@ The quantum characteristic is a finite integer e >= 3 or infinity (stored
 as None); e = 2 is rejected because every later construction assumes the
 three residue classes i-1, i, i+1 are distinct.  A weighting is valid when
 no difference theta_i - theta_j is an integer multiple of the scale g.
+
+Each context also packs node coordinates into integer keys (`node_key`)
+for the tableau degree's inner loop; see `coords` for the exact order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .coords import ExactCoord, as_fraction
 from .partitions import Node
+
+# Every eps part of a key must stay below this, so that q*L*KEY_EPS_BOUND + m
+# orders exactly as (q, m) does.
+KEY_EPS_BOUND = 1 << 20
 
 
 class ValidationError(ValueError):
@@ -29,6 +36,14 @@ def field_value(name: str, convert, value):
         raise ValidationError(f"{name}: {exc}") from exc
 
 
+def exact_int(value) -> int:
+    """int(value), refusing a number with a fractional part rather than
+    truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
 INFINITY_TOKENS = {"infinity", "inf", "oo", None}
 
 
@@ -36,7 +51,7 @@ def parse_quantum_char(value):
     """Normalize a quantum characteristic to int >= 3 or None (= infinity)."""
     if value in INFINITY_TOKENS or value == float("inf"):
         return None
-    e = int(value)
+    e = exact_int(value)
     if e < 3:
         raise ValidationError(
             f"e: quantum characteristic must be >= 3 or infinity, got {e}"
@@ -47,17 +62,28 @@ def parse_quantum_char(value):
 class ParamContext:
     """Parameters (e, level, multicharge, weighting, scale) plus helpers."""
 
-    __slots__ = ("e", "level", "multicharge", "theta", "g")
+    __slots__ = (
+        "e", "level", "multicharge", "theta", "g",
+        "key_scale", "ghost_shift", "red_keys", "_keys",
+    )
 
     def __init__(self, e, multicharge, theta, g):
         self.e = field_value("e", parse_quantum_char, e)
         self.multicharge = field_value(
-            "multicharge", lambda ks: tuple(self.residue(int(k)) for k in ks), multicharge
+            "multicharge", lambda ks: tuple(self.residue(exact_int(k)) for k in ks), multicharge
         )
         self.theta = field_value("theta", lambda xs: tuple(as_fraction(x) for x in xs), theta)
         self.g = field_value("g", as_fraction, g)
         self.level = len(self.multicharge)
         self._validate()
+        # key of q + m*eps is (q*L)*KEY_EPS_BOUND + m, L the least common
+        # denominator of theta and g; a ghost sits ghost_shift below its strand
+        self.key_scale = lcm(self.g.denominator, *(t.denominator for t in self.theta))
+        self.ghost_shift = self._scaled(self.g)
+        self.red_keys = {}
+        for charge, t in zip(self.multicharge, self.theta):
+            self.red_keys.setdefault(charge, []).append(self._scaled(t))
+        self._keys = {}
 
     def _validate(self):
         if self.level < 1:
@@ -117,6 +143,23 @@ class ParamContext:
 
     def red_line(self, comp: int) -> ExactCoord:
         return ExactCoord(self.theta[comp - 1], 0)
+
+    def node_key(self, node: Node) -> int:
+        """node_coord(node) packed into an int with the same order, memoized
+        on this context."""
+        key = self._keys.get(node)
+        if key is None:
+            c = self.node_coord(node)
+            if c.eps >= KEY_EPS_BOUND:
+                raise ValidationError(
+                    f"node {node}: row + col = {c.eps} must be below {KEY_EPS_BOUND}"
+                )
+            key = self._keys[node] = self._scaled(c.base) + c.eps
+        return key
+
+    def _scaled(self, q) -> int:
+        """The key of the point q + 0*eps."""
+        return (q * self.key_scale).numerator * KEY_EPS_BOUND
 
     def __repr__(self):
         e = "infinity" if self.e is None else self.e

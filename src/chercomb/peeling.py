@@ -147,14 +147,9 @@ def gamma_characters(gctx: GammaContext):
     return characters
 
 
-def gamma_peel_matrix(gctx: GammaContext, characters=None) -> DecompositionMatrix:
-    """Full decomposition matrix of the subquotient indexed by the context.
-
-    characters  (lam, mu) -> LaurentPoly; defaults to gamma_characters(gctx)
-    """
-    if characters is None:
-        characters = gamma_characters(gctx)
-    return peel_matrix(gctx.elements, gctx.leq, characters)
+def gamma_peel_matrix(gctx: GammaContext) -> DecompositionMatrix:
+    """Full decomposition matrix of the subquotient indexed by the context."""
+    return peel_matrix(gctx.elements, gctx.leq, gamma_characters(gctx))
 
 
 def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
@@ -168,16 +163,15 @@ def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
     return peel_matrix(members, gctx.leq, gamma_characters(gctx))
 
 
-def family_entries(gctx: GammaContext, engine: str, characters=None) -> dict:
+def family_entries(gctx: GammaContext, engine: str) -> dict:
     """Nonzero decomposition numbers d[(lam, mu)] over the whole family.
 
     Engines as in decomp_number; 'both' raises EngineDisagreement at the
     first pair, lam-major along the order, where the engines differ.
-    characters is passed to gamma_peel_matrix for 'kn' and 'both'.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    peeled = gamma_peel_matrix(gctx, characters) if engine != "nested" else None
+    peeled = gamma_peel_matrix(gctx) if engine != "nested" else None
     if engine == "kn":
         return peeled.d
     entries = {}

@@ -13,6 +13,14 @@ coordinate (south) to its assigned mu-coordinate (north):
 Ghosts are strands shifted left by the scale g; monotone strands with no
 bigons cross if and only if their endpoints interleave, so the count is
 well-defined without drawing anything.
+
+The count runs over integer keys, not coordinates: `ParamContext.node_key`
+packs q + m*eps into (q*L)*2^20 + m, L the least common denominator of
+theta and g, which orders exactly as the coordinates do while every eps
+part (row + col) stays below 2^20; a larger node raises ValidationError.
+A ghost shift is one integer subtraction.  Strands are bucketed by
+residue, so a moving strand meets only its own residue and the two next
+to it, and two vertical strands, which never cross, are never compared.
 """
 
 from __future__ import annotations
@@ -225,61 +233,39 @@ def _enumerate_restricted(lam, mu, gctx: GammaContext):
 
 def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
     """Signed crossing count of the minimal monotone diagram of the tableau."""
-    strands = []
+    key = ctx.node_key
+    by_res: dict[int, tuple[list, list]] = {}  # residue -> (moving, vertical)
     for node, target in tab.mapping.items():
-        strands.append(
-            (ctx.node_coord(node), ctx.node_coord(target), ctx.residue_of(node))
-        )
-    moving = [s for s in strands if s[0] != s[1]]
-    vertical = [s for s in strands if s[0] == s[1]]
-    if not moving:
-        return 0
-    g = ctx.g
+        src, dst = key(node), key(target)
+        moved, still = by_res.setdefault(ctx.residue_of(node), ([], []))
+        if src == dst:
+            still.append(src)
+        else:
+            moved.append((src, dst))
+    shift = ctx.ghost_shift
+    empty = ([], [])
     deg = 0
+    for r, (same_moved, same_still) in by_res.items():
+        down_moved, down_still = by_res.get(ctx.residue(r - 1), empty)
+        up_still = by_res.get(ctx.residue(r + 1), empty)[1]
+        reds = ctx.red_keys.get(r, ())
+        for s, t in same_moved:
+            # equal residue: -2 per crossing; each moving pair is met twice
+            deg -= sum((s < s2) != (t < t2) for s2, t2 in same_moved)
+            deg -= 2 * sum((s < k) != (t < k) for k in same_still)
 
-    # strand pairs of equal residue: -2 per crossing; pairs of verticals
-    # are parallel and skipped
-    for i, a in enumerate(moving):
-        for b in moving[i + 1 :]:
-            if a[2] == b[2] and _cross(a[0], a[1], b[0], b[1]):
-                deg -= 2
-        for b in vertical:
-            if a[2] == b[2] and _cross(a[0], a[1], b[0], b[1]):
-                deg -= 2
+            # this strand over the ghost (key - shift) of a strand one
+            # residue down: +1; a vertical one residue up over this strand's
+            # ghost: +1 (a moving strand over it is counted from its side)
+            hs, ht = s + shift, t + shift
+            deg += sum((hs < s2) != (ht < t2) for s2, t2 in down_moved)
+            deg += sum((hs < k) != (ht < k) for k in down_still)
+            gs, gt = s - shift, t - shift
+            deg += sum((k < gs) != (k < gt) for k in up_still)
 
-    # black strand x over ghost of y: +1 when res(y) = res(x) - 1; a strand
-    # is parallel to its own ghost and to every other vertical's ghost
-    def ghost_hits(x, y) -> bool:
-        return ctx.residue(x[2] - 1) == y[2] and _cross(
-            x[0], x[1], y[0].shift(-g), y[1].shift(-g)
-        )
-
-    for i, x in enumerate(moving):
-        for j, y in enumerate(moving):
-            if i != j and ghost_hits(x, y):
-                deg += 1
-        for y in vertical:
-            if ghost_hits(x, y):
-                deg += 1
-    for x in vertical:
-        for y in moving:
-            if ghost_hits(x, y):
-                deg += 1
-
-    # black strand over a red line of its own residue: +1
-    for a in moving:
-        for k in range(1, ctx.level + 1):
-            if a[2] != ctx.multicharge[k - 1]:
-                continue
-            red = ctx.red_line(k)
-            if (a[0] < red) != (a[1] < red):
-                deg += 1
-
+            # black strand over a red line of its own residue: +1
+            deg += sum((s < k) != (t < k) for k in reds)
     return deg
-
-
-def _cross(s1, t1, s2, t2) -> bool:
-    return (s1 < s2) != (t1 < t2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-import chercomb.cli as cli
 import chercomb.peeling as peeling
 from chercomb import LaurentPoly
 from chercomb.cli import main
@@ -264,19 +263,6 @@ def test_tensor_factor_command(capsys, tmp_path):
     assert payload["verified"] and payload["family_size"] == 20
 
 
-@pytest.mark.parametrize("engine", ["kn", "both"])
-def test_decomp_matrix_with_jobs(capsys, tmp_path, flotw2_file, engine):
-    outs = []
-    for jobs in ("1", "2"):
-        dest = tmp_path / f"jobs{jobs}.json"
-        argv = ["decomp", flotw2_file, "--matrix", "--engine", engine, "--jobs", jobs]
-        code, _ = run(capsys, *argv, "--out", str(dest))
-        assert code == 0
-        outs.append(dest.read_bytes())
-    assert outs[0] == outs[1]
-    assert len(json.loads(outs[0])["order"]) == 45
-
-
 def _stub_characters(monkeypatch, fake):
     """Route the peeling engine's characters through fake(lam, mu, gctx, true)."""
     real = peeling.delta_character
@@ -287,13 +273,12 @@ def _stub_characters(monkeypatch, fake):
     monkeypatch.setattr(peeling, "delta_character", stub)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_decomp_matrix_saturation_probe(capsys, monkeypatch, flotw2_file, jobs):
+def test_decomp_matrix_saturation_probe(capsys, monkeypatch, flotw2_file):
     def fake(lam, mu, gctx, true):
         return LaurentPoly.one() if lam != mu and not gctx.leq(mu, lam) else true
 
     _stub_characters(monkeypatch, fake)
-    code, out = run(capsys, "decomp", flotw2_file, "--matrix", "--engine", "kn", "--jobs", jobs)
+    code, out = run(capsys, "decomp", flotw2_file, "--matrix", "--engine", "kn")
     assert code == 2
     assert "incomparable pair" in json.loads(out)["detail"]
 
@@ -308,42 +293,6 @@ def test_decomp_matrix_invariant_failure(capsys, monkeypatch, hook_file):
     payload = json.loads(out)
     assert payload["error"] == "computation failure"
     assert "simple character" in payload["detail"]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_decomp_rejects_jobs_below_one(capsys, hook_file, jobs):
-    code, out = run(capsys, "decomp", hook_file, "--matrix", "--jobs", jobs)
-    assert code == 1
-    assert "--jobs" in json.loads(out)["detail"]
-
-
-@pytest.mark.parametrize("engine, pools", [("nested", []), ("kn", [3]), ("both", [3])])
-def test_decomp_pool_workers(capsys, monkeypatch, hook_file, engine, pools):
-    """The pool is built only when characters are needed, with at most
-    os.cpu_count() workers; the stub runs the work in this process."""
-    built = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers, initializer, initargs):
-            built.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "_WORKER_GCTX", None)
-    code, out = run(capsys, "decomp", hook_file, "--matrix", "--engine", engine, "--jobs", "8")
-    assert code == 0
-    assert built == pools
-    assert json.loads(out)["entries"]["0,2"] == {"2": 1}
 
 
 def test_selfcheck_command(capsys):
@@ -409,6 +358,11 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("residues", ["a"]),
         ("multiset", {"0": -1}),
         ("epsilon_display", "x"),
+        ("e", 5.5),
+        ("multicharge", [0.9]),
+        ("multiset", {"0": 1.7}),
+        ("residues", "03"),
+        ("gamma", [[5.5, 1, 1, 1, 1]]),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):
