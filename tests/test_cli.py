@@ -273,14 +273,18 @@ def _stub_characters(monkeypatch, fake):
     monkeypatch.setattr(peeling, "delta_character", stub)
 
 
-def test_decomp_matrix_saturation_probe(capsys, monkeypatch, flotw2_file):
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_decomp_matrix_saturation_probe(capsys, monkeypatch, flotw2_file, repeats):
+    # A repeat in the same process reuses the per-context memoized node keys;
+    # the probe must still report the incomparable pair every time.
     def fake(lam, mu, gctx, true):
         return LaurentPoly.one() if lam != mu and not gctx.leq(mu, lam) else true
 
     _stub_characters(monkeypatch, fake)
-    code, out = run(capsys, "decomp", flotw2_file, "--matrix", "--engine", "kn")
-    assert code == 2
-    assert "incomparable pair" in json.loads(out)["detail"]
+    for _ in range(repeats):
+        code, out = run(capsys, "decomp", flotw2_file, "--matrix", "--engine", "kn")
+        assert code == 2
+        assert "incomparable pair" in json.loads(out)["detail"]
 
 
 def test_decomp_matrix_invariant_failure(capsys, monkeypatch, hook_file):
