@@ -75,8 +75,10 @@ from .terrain import (
     UnbalancedDecoration,
     WellNestedFamily,
     decorate,
+    filled_edges,
     latticed_paths,
     nested_decomposition_number,
+    slot_terrain,
     terrain_of,
     well_nested_families,
 )

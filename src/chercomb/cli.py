@@ -35,7 +35,7 @@ from .peeling import (
 from .selfcheck import cross_validate
 from .tableaux import delta_character, enumerate_sstd
 from .tensor import factor_check, factor_context, psi_multipartition
-from .terrain import UnbalancedDecoration, decorate, latticed_paths, terrain_of
+from .terrain import UnbalancedDecoration, decorate, filled_edges, latticed_paths, terrain_of
 from .transport import TransportMap
 from .render import terrain_ascii, terrain_svg
 
@@ -228,7 +228,7 @@ def cmd_terrain(args):
     dt = None
     if args.decorate:
         lam = _mp_arg(args.decorate, "decorate")
-        dt = decorate(mu, lam, residue, ctx)
+        dt = decorate(terr, filled_edges(terr, mu, lam, ctx))
     if args.render == "svg":
         _write(terrain_svg(terr, dt), args)
         return EXIT_OK
@@ -361,8 +361,18 @@ def cmd_selfcheck(args):
 # ---------------------------------------------------------------------------
 
 
+class UsageError(ValueError):
+    """A malformed command line; it exits 1 like any other bad input."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chercomb",
         description="graded combinatorics of diagrammatic Cherednik algebras",
     )
@@ -441,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except EngineDisagreement as exc:
         print(json.dumps({"error": "engine disagreement", "detail": str(exc)}))

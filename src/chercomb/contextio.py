@@ -13,8 +13,8 @@ import os
 
 from .coords import as_fraction
 from .gamma import GammaContext, build_gamma_set
-from .params import ParamContext, exact_int, field_value
-from .partitions import Multipartition
+from .params import ParamContext, field_value
+from .partitions import Multipartition, exact_int
 
 
 class ParseError(ValueError):
@@ -25,7 +25,7 @@ def parse_multipartition(data, path="multipartition") -> Multipartition:
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise ParseError(f"{path}: expected a list of integer lists")
     try:
-        return Multipartition([tuple(exact_int(p) for p in comp) for comp in data])
+        return Multipartition(data)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

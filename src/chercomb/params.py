@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import lcm
 
 from .coords import ExactCoord, as_fraction
-from .partitions import Node
+from .partitions import Node, exact_int
 
 # Every eps part of a key must stay below this, so that q*L*KEY_EPS_BOUND + m
 # orders exactly as (q, m) does.
@@ -34,14 +34,6 @@ def field_value(name: str, convert, value):
         raise
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{name}: {exc}") from exc
-
-
-def exact_int(value) -> int:
-    """int(value), refusing a number with a fractional part rather than
-    truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value}")
-    return int(value)
 
 
 INFINITY_TOKENS = {"infinity", "inf", "oo", None}

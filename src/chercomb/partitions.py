@@ -19,8 +19,16 @@ class Node(NamedTuple):
         return f"({self.row},{self.col},{self.comp})"
 
 
+def exact_int(value) -> int:
+    """int(value), refusing a number with a fractional part rather than
+    truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
 def _check_partition(parts) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(exact_int(p) for p in parts)
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

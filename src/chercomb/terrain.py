@@ -9,6 +9,11 @@ ridges strictly inside a pair yields latticed paths; a family choosing one
 path per pair is well-nested if inner pairs ride weakly above outer ones.
 The norms of well-nested families are the exponents of the graded
 decomposition number.
+
+Inside a single-residue family the terrain is the member's slot word
+(`slot_terrain`), so the closed-form engine decorates from slot positions;
+`terrain_of` and `filled_edges` serve node-level input from outside a
+family.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ class UnbalancedDecoration(ValueError):
 class TerrainStep(NamedTuple):
     up: bool  # up for removable, down for addable
     node: Node
-    coord: object
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,22 @@ class Terrain:
 
 def terrain_of(mu: Multipartition, residue: int, ctx: ParamContext) -> Terrain:
     r = ctx.residue(residue)
-    entries = [TerrainStep(True, n, ctx.node_coord(n)) for n in removable_nodes(mu, ctx, [r])]
-    entries += [TerrainStep(False, n, ctx.node_coord(n)) for n in addable_nodes(mu, ctx, [r])]
-    entries.sort(key=lambda s: s.coord)
+    entries = [TerrainStep(True, n) for n in removable_nodes(mu, ctx, [r])]
+    entries += [TerrainStep(False, n) for n in addable_nodes(mu, ctx, [r])]
+    entries.sort(key=lambda s: ctx.node_coord(s.node))
     return Terrain(r, tuple(entries))
+
+
+def slot_terrain(mu: Multipartition, gctx: GammaContext) -> Terrain:
+    """The terrain of a member of a single-residue family, read off its
+    slot word: up where mu fills one of gamma's addable nodes of the
+    residue, down where it leaves it empty."""
+    r = gctx.residue
+    filled = gctx.added_positions(mu)[r]
+    return Terrain(
+        r,
+        tuple(TerrainStep(j in filled, node) for j, node in enumerate(gctx.addable[r], start=1)),
+    )
 
 
 @dataclass(frozen=True)
@@ -61,18 +77,14 @@ class DecoratedTerrain:
     pairs: tuple[tuple[int, int], ...]  # (open edge, close edge), nested
 
 
-def decorate(mu, lam, residue, ctx: ParamContext) -> DecoratedTerrain:
-    """Decorate the terrain of mu with the nodes moved to reach lam.
-
-    Opens sit on nodes of lam missing from mu (down-steps), closes on nodes
-    of mu missing from lam (up-steps); stack matching must succeed, which is
-    exactly the dominance requirement mu <= lam.
-    """
-    terrain = terrain_of(mu, residue, ctx)
+def filled_edges(terrain: Terrain, mu, lam, ctx: ParamContext) -> frozenset[int]:
+    """The 1-based edges of mu's terrain whose node lam contains, after
+    checking that lam differs from mu only by moving nodes of the
+    terrain's residue on its edges, size for size."""
     common = mu.meet(lam)
     added = set(lam.diagram_difference(common))
     removed = set(mu.diagram_difference(common))
-    r = ctx.residue(residue)
+    r = terrain.residue
     for node in added | removed:
         if ctx.residue_of(node) != r:
             raise UnbalancedDecoration(
@@ -81,7 +93,6 @@ def decorate(mu, lam, residue, ctx: ParamContext) -> DecoratedTerrain:
             )
     if lam.size != mu.size:
         raise UnbalancedDecoration(f"sizes differ: {lam.size} vs {mu.size}")
-
     edge_nodes = {step.node for step in terrain.steps}
     for node in added:
         if node not in edge_nodes:
@@ -89,18 +100,24 @@ def decorate(mu, lam, residue, ctx: ParamContext) -> DecoratedTerrain:
     for node in removed:
         if node not in edge_nodes:
             raise UnbalancedDecoration(f"removed node {node} is not removable in mu")
+    return frozenset(j for j, step in enumerate(terrain.steps, start=1) if lam.contains(step.node))
 
+
+def decorate(terrain: Terrain, filled) -> DecoratedTerrain:
+    """Decorate a terrain with the edges filled by a more dominant weight.
+
+    `filled` holds the 1-based edges whose node the target contains.  Opens
+    sit on filled down-steps (nodes the target adds), closes on unfilled
+    up-steps (nodes it removes); stack matching must succeed, which is
+    exactly the requirement that the target dominates the terrain's weight.
+    """
     opens, closes, pairs = [], [], []
     stack = []
     for j, step in enumerate(terrain.steps, start=1):
-        if step.node in added:
-            if step.up:
-                raise UnbalancedDecoration(f"added node {step.node} is not addable in mu")
+        if not step.up and j in filled:
             opens.append(j)
             stack.append(j)
-        elif step.node in removed:
-            if not step.up:
-                raise UnbalancedDecoration(f"removed node {step.node} is not removable in mu")
+        elif step.up and j not in filled:
             closes.append(j)
             if not stack:
                 raise UnbalancedDecoration(
@@ -256,7 +273,7 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
         return NestedResult(LaurentPoly.one(), flag)
     if not gctx.leq(mu, lam):
         return NestedResult(LaurentPoly.zero(), flag)
-    dt = decorate(mu, lam, gctx.residue, gctx.ctx)
+    dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[gctx.residue])
     coeffs: dict[int, int] = {}
     for fam in well_nested_families(dt):
         coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1

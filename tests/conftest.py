@@ -1,8 +1,38 @@
 """Shared contexts used across the suite."""
 
+import json
+
 import pytest
 
-from chercomb import ParamContext, build_gamma_set, empty_multipartition, mp
+from chercomb import (
+    ParamContext,
+    build_gamma_set,
+    decorate,
+    empty_multipartition,
+    filled_edges,
+    mp,
+    terrain_of,
+)
+
+# The criterion-5(b) FLOTW base with two 0-nodes added: 45 members, some
+# of them incomparable.
+FLOTW2_CONTEXT = {
+    "e": 3,
+    "multicharge": [2, 1],
+    "theta": ["0", "1"],
+    "g": "2",
+    "gamma": [[7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1]],
+    "residues": [0],
+    "multiset": {"0": 2},
+}
+
+
+@pytest.fixture
+def flotw2_file(tmp_path):
+    """FLOTW2_CONTEXT as a context file."""
+    path = tmp_path / "flotw2.json"
+    path.write_text(json.dumps(FLOTW2_CONTEXT))
+    return str(path)
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +90,15 @@ def gctx_flotw_bipartition():
     ctx = ParamContext(3, [2, 1], ["0", "1"], "2")
     gamma = mp([7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1])
     return build_gamma_set(gamma, [0], {0: 6}, ctx)
+
+
+@pytest.fixture(scope="session")
+def node_decorate():
+    """Decorate mu's terrain from node-level input, as `terrain --decorate`
+    does: the coordinate terrain, the boundary check, then the word match."""
+
+    def run(mu, lam, residue, ctx):
+        terrain = terrain_of(mu, residue, ctx)
+        return decorate(terrain, filled_edges(terrain, mu, lam, ctx))
+
+    return run

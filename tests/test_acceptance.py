@@ -22,7 +22,6 @@ from chercomb import (
     chi_equivalent,
     chi_sequence,
     decomp_number,
-    decorate,
     delta_character,
     enumerate_sstd,
     factor_check,
@@ -106,11 +105,11 @@ def test_criterion_03_family_construction():
     report(3, ok, f"|family| = {len(gctx)}, extremes {gctx.top} / {gctx.bottom}")
 
 
-def test_criterion_04_terrain_machinery():
+def test_criterion_04_terrain_machinery(node_decorate):
     ctx = ParamContext(4, [1] * 10, [f"{78 * k}/11" for k in range(10)], "1")
     mu = mp([1], [1], [], [], [1], [], [1], [], [1], [1])
     lam = mp([1], [1], [1], [1], [], [1], [1], [], [], [])
-    dt = decorate(mu, lam, 1, ctx)
+    dt = node_decorate(mu, lam, 1, ctx)
     norms = {p: sorted(q.norm for q in latticed_paths(dt, p)) for p in dt.pairs}
     fams = well_nested_families(dt)
     coeffs: dict[int, int] = {}

@@ -17,18 +17,6 @@ HOOK_CONTEXT = {
     "multiset": {"0": 1},
 }
 
-# The criterion-5(b) FLOTW base with two 0-nodes added: 45 members, some
-# of them incomparable.
-FLOTW2_CONTEXT = {
-    "e": 3,
-    "multicharge": [2, 1],
-    "theta": ["0", "1"],
-    "g": "2",
-    "gamma": [[7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1]],
-    "residues": [0],
-    "multiset": {"0": 2},
-}
-
 DECORATION_CONTEXT = {
     "e": 4,
     "multicharge": [1] * 10,
@@ -41,13 +29,6 @@ DECORATION_CONTEXT = {
 def hook_file(tmp_path):
     path = tmp_path / "hook.json"
     path.write_text(json.dumps(HOOK_CONTEXT))
-    return str(path)
-
-
-@pytest.fixture
-def flotw2_file(tmp_path):
-    path = tmp_path / "flotw2.json"
-    path.write_text(json.dumps(FLOTW2_CONTEXT))
     return str(path)
 
 
@@ -373,3 +354,32 @@ def test_bad_context_field_is_named(capsys, field, value):
     code, out = run(capsys, "validate", json.dumps({**HOOK_CONTEXT, field: value}))
     assert code == 1
     assert json.loads(out)["detail"].startswith(f"{field}:")
+
+
+@pytest.mark.parametrize(
+    "mu, lam, fault",
+    [
+        # lam moves (1,1,10), of residue 1, to (1,2,1), of residue 2
+        ("[[1],[1],[],[],[1],[],[1],[],[1],[1]]", "[[2],[1],[],[],[1],[],[1],[],[1],[]]", "has residue 2, not 1"),
+        # lam adds a residue-1 node without removing one
+        ("[[1],[1],[],[],[1],[],[1],[],[1],[1]]", "[[1],[1],[1],[],[1],[],[1],[],[1],[1]]", "sizes differ"),
+        # the decoration pair of criterion 4, reversed
+        ("[[1],[1],[1],[1],[],[1],[1],[],[],[]]", "[[1],[1],[],[],[1],[],[1],[],[1],[1]]", "has no matching open"),
+    ],
+    ids=["wrong_residue", "size", "reversed"],
+)
+def test_terrain_decorate_rejects_bad_pair(capsys, tmp_path, mu, lam, fault):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(DECORATION_CONTEXT))
+    code, out = run(capsys, "terrain", str(path), mu, "--decorate", lam, "--residue", "1")
+    assert code == 1
+    assert fault in json.loads(out)["detail"]
+
+
+def test_usage_error_exits_one(capsys, flotw2_file):
+    code, out = run(capsys, "decomp", flotw2_file, "--matrix", "--jobs", "2")
+    assert code == 1
+    assert "--jobs" in json.loads(out)["detail"]
+    with pytest.raises(SystemExit) as exc:
+        main(["decomp", "--help"])
+    assert exc.value.code == 0

@@ -26,6 +26,12 @@ def test_partition_validation():
         Multipartition([])
 
 
+def test_partition_rejects_fractional_parts():
+    with pytest.raises(ValueError, match="expected an integer, got 5.5"):
+        mp([5.5, 1.2])
+    assert mp([5.0, 1]) == mp([5, 1])
+
+
 def test_residue_of():
     ctx = ParamContext(4, [0, 3], ["0", "7"], "0.99")
     assert ctx.residue_of(Node(1, 1, 1)) == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chercomb import (
@@ -10,9 +12,11 @@ from chercomb import (
     latticed_paths,
     mp,
     nested_decomposition_number,
+    slot_terrain,
     terrain_of,
     well_nested_families,
 )
+from chercomb.selfcheck import random_single_residue_context
 from chercomb.terrain import raw_family_count
 
 
@@ -30,40 +34,40 @@ def test_terrain_examples(ctx_level10, decoration_pair):
     assert directions(terrain_of(empty_multipartition(1), 2, empty_ctx)) == "v"
 
 
-def test_decoration_figure(ctx_level10, decoration_pair):
+def test_decoration_figure(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
-    dt = decorate(mu, lam, 1, ctx_level10)
+    dt = node_decorate(mu, lam, 1, ctx_level10)
     assert dt.opens == (3, 4, 6)
     assert dt.closes == (5, 9, 10)
     assert dt.pairs == ((4, 5), (6, 9), (3, 10))
 
 
-def test_decoration_trivial(ctx_level10, decoration_pair):
+def test_decoration_trivial(ctx_level10, decoration_pair, node_decorate):
     mu, _ = decoration_pair
-    dt = decorate(mu, mu, 1, ctx_level10)
+    dt = node_decorate(mu, mu, 1, ctx_level10)
     assert dt.pairs == ()
     fams = well_nested_families(dt)
     assert len(fams) == 1 and fams[0].norm == 0
 
 
-def test_decoration_reversed_raises(ctx_level10, decoration_pair):
+def test_decoration_reversed_raises(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
     with pytest.raises(UnbalancedDecoration):
-        decorate(lam, mu, 1, ctx_level10)
+        node_decorate(lam, mu, 1, ctx_level10)
 
 
-def test_latticed_paths_figure(ctx_level10, decoration_pair):
+def test_latticed_paths_figure(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
-    dt = decorate(mu, lam, 1, ctx_level10)
+    dt = node_decorate(mu, lam, 1, ctx_level10)
     by_pair = {p: latticed_paths(dt, p) for p in dt.pairs}
     assert [q.norm for q in by_pair[(4, 5)]] == [1]
     assert sorted(q.norm for q in by_pair[(6, 9)]) == [1, 3]
     assert sorted(q.norm for q in by_pair[(3, 10)]) == [3, 5, 5, 7]
 
 
-def test_well_nested_families_figure(ctx_level10, decoration_pair):
+def test_well_nested_families_figure(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
-    dt = decorate(mu, lam, 1, ctx_level10)
+    dt = node_decorate(mu, lam, 1, ctx_level10)
     assert raw_family_count(dt) == 8
     fams = well_nested_families(dt)
     assert len(fams) == 6
@@ -73,7 +77,7 @@ def test_well_nested_families_figure(ctx_level10, decoration_pair):
     assert LaurentPoly(coeffs) == LaurentPoly({11: 1, 9: 2, 7: 2, 5: 1})
 
 
-def test_cascaded_flattening():
+def test_cascaded_flattening(node_decorate):
     # two common added nodes between the pair give U,U,D,D inside it:
     # flattening the inner ridge exposes a wider generalized ridge
     ctx = ParamContext(3, [0], ["0"], "1")
@@ -82,7 +86,7 @@ def test_cascaded_flattening():
     slots = gctx.addable[1]
     lam = gamma.with_nodes([slots[0], slots[1], slots[2]])
     mu = gamma.with_nodes([slots[1], slots[2], slots[5]])
-    dt = decorate(mu, lam, 1, ctx)
+    dt = node_decorate(mu, lam, 1, ctx)
     assert dt.pairs == ((1, 6),)
     paths = latticed_paths(dt, (1, 6))
     assert sorted(p.norm for p in paths) == [1, 3, 5]
@@ -117,7 +121,7 @@ def test_nested_level_one_big():
     assert value == LaurentPoly({11: 1, 9: 2, 7: 2, 5: 1})
 
 
-def test_nested_flotw_bipartition(gctx_flotw_bipartition):
+def test_nested_flotw_bipartition(gctx_flotw_bipartition, node_decorate):
     # the bracketed terrain here is D,D,D,U,U,D,U,U,U,U with pairs
     # {(2,5),(6,7),(1,8)}; the ridge (5,6) inside (1,8) flattens, so the
     # norm-11 generic family has a norm-9 companion (see the ledger note on
@@ -125,7 +129,7 @@ def test_nested_flotw_bipartition(gctx_flotw_bipartition):
     gctx = gctx_flotw_bipartition
     lam = mp([8, 5, 3, 1, 1, 1], [6, 5, 5, 3, 2, 1, 1, 1])
     mu = mp([7, 5, 4, 2, 1, 1], [5, 5, 5, 2, 2, 2, 1, 1])
-    dt = decorate(mu, lam, 0, gctx.ctx)
+    dt = node_decorate(mu, lam, 0, gctx.ctx)
     assert dt.pairs == ((2, 5), (6, 7), (1, 8))
     value = nested_decomposition_number(lam, mu, gctx).value
     assert value == LaurentPoly({9: 1, 11: 1})
@@ -141,9 +145,9 @@ def test_field_validity_flag(gctx_hook, gctx_flotw_bipartition):
     assert not res.valid_any_field  # the residue occurs twice in the multicharge
 
 
-def test_paths_match_generic_outside_pair(ctx_level10, decoration_pair):
+def test_paths_match_generic_outside_pair(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
-    dt = decorate(mu, lam, 1, ctx_level10)
+    dt = node_decorate(mu, lam, 1, ctx_level10)
     generic = dt.terrain.directions()
     for pair in dt.pairs:
         lo, hi = pair
@@ -154,9 +158,9 @@ def test_paths_match_generic_outside_pair(ctx_level10, decoration_pair):
                 assert step in (generic[j - 1], 0)
 
 
-def test_norm_bounds_and_generic_norm(ctx_level10, decoration_pair):
+def test_norm_bounds_and_generic_norm(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
-    dt = decorate(mu, lam, 1, ctx_level10)
+    dt = node_decorate(mu, lam, 1, ctx_level10)
     generic_norm = sum(p[1] - p[0] for p in dt.pairs)
     fams = well_nested_families(dt)
     assert max(f.norm for f in fams) == generic_norm
@@ -164,3 +168,34 @@ def test_norm_bounds_and_generic_norm(ctx_level10, decoration_pair):
         inner = pair[1] - pair[0] - 1
         for path in latticed_paths(dt, pair):
             assert 1 <= path.norm <= inner + 1
+
+
+def assert_slot_decoration_matches(gctx, node_decorate):
+    """Every comparable pair decorates the same from the slot word as from
+    coordinates, and every reversed strict pair fails both ways."""
+    r = gctx.residue
+    pairs = gctx.comparable_pairs()
+    for lam, mu in pairs:
+        by_slots = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[r])
+        by_nodes = node_decorate(mu, lam, r, gctx.ctx)
+        assert by_slots == by_nodes, (lam, mu)
+        if lam != mu:
+            with pytest.raises(UnbalancedDecoration):
+                decorate(slot_terrain(lam, gctx), gctx.added_positions(mu)[r])
+            with pytest.raises(UnbalancedDecoration):
+                node_decorate(lam, mu, r, gctx.ctx)
+    return len(pairs)
+
+
+def test_slot_decoration_matches_coordinates_on_flotw_family(gctx_flotw_bipartition, node_decorate):
+    base = gctx_flotw_bipartition
+    gctx = build_gamma_set(base.gamma, [0], {0: 2}, base.ctx)
+    assert len(gctx) == 45
+    assert assert_slot_decoration_matches(gctx, node_decorate) > 45
+
+
+@pytest.mark.parametrize("seed", [7, 99, 20240])
+def test_slot_decoration_matches_coordinates_on_random_families(seed, node_decorate):
+    rng = random.Random(seed)
+    for _ in range(40):
+        assert_slot_decoration_matches(random_single_residue_context(rng), node_decorate)
