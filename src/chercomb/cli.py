@@ -107,11 +107,6 @@ def _poly_payload(poly: LaurentPoly) -> dict:
     }
 
 
-def _load(args, attr="context"):
-    ctx, gctx, eps = parse_context(getattr(args, attr))
-    return ctx, gctx, eps
-
-
 def _need_gamma(gctx, what="this command"):
     if gctx is None:
         raise ValidationError(f"{what} needs gamma/residues/multiset in the context file")
@@ -128,7 +123,7 @@ def _mp_arg(text, name):
 
 
 def cmd_validate(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     payload = context_to_json(ctx, gctx)
     payload["valid"] = True
     if gctx is not None:
@@ -138,7 +133,7 @@ def cmd_validate(args):
 
 
 def cmd_gamma_set(args):
-    _, gctx, _ = _load(args)
+    _, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     strict = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
     below = set(strict)
@@ -161,7 +156,7 @@ def cmd_gamma_set(args):
 
 
 def cmd_tableaux(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     lam = _mp_arg(args.shape, "shape")
     mu = _mp_arg(args.weight, "weight")
     gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
@@ -181,7 +176,7 @@ def cmd_tableaux(args):
 
 
 def cmd_delta_char(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     lam = _mp_arg(args.shape, "shape")
     mu = _mp_arg(args.weight, "weight")
     gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
@@ -191,7 +186,7 @@ def cmd_delta_char(args):
 
 
 def cmd_decomp(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     if args.pair:
         lam = _mp_arg(args.pair[0], "shape")
@@ -217,7 +212,7 @@ def cmd_decomp(args):
 
 
 def cmd_terrain(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     mu = _mp_arg(args.weight, "weight")
     if args.residue is not None:
         residue = ctx.residue(args.residue)
@@ -257,7 +252,7 @@ def cmd_terrain(args):
 
 
 def cmd_chi(args):
-    ctx, gctx, eps = _load(args)
+    ctx, gctx, eps = parse_context(args.context)
     gctx = _need_gamma(gctx)
     seq = chi_sequence(gctx.gamma, gctx.residue, ctx)
     diags = i_diagonals(gctx.gamma, gctx.residue, ctx)
@@ -285,7 +280,7 @@ def cmd_chi(args):
 
 
 def cmd_transport(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     tctx, tgctx, _ = parse_context(args.target)
     tgctx = _need_gamma(tgctx)
@@ -310,7 +305,7 @@ def cmd_transport(args):
 
 
 def cmd_tensor_factor(args):
-    ctx, gctx, _ = _load(args)
+    ctx, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     fctx = factor_context(gctx)
     payload = {

@@ -2,17 +2,18 @@
 
 A GammaContext fixes an admissible base multipartition gamma, an
 adjacency-free residue set S, and a multiset of residues to add; it carries
-the resulting family of multipartitions sorted along theta-dominance,
-together with the per-residue ordered lists of addable nodes.
+the per-residue ordered lists of addable nodes (the slots) and the
+resulting family, each member stored as the slots it fills, sorted along
+theta-dominance.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .loadings import dominance_sort_key, loading_of, residue_multiset
+from .loadings import loading_of, residue_multiset
 from .params import AdjacencyViolation, ParamContext
-from .partitions import Multipartition, Node
+from .partitions import Multipartition, Node, exact_int
 
 
 class NotAdmissible(ValueError):
@@ -67,15 +68,16 @@ def is_admissible(gamma: Multipartition, residues, ctx: ParamContext) -> bool:
 class GammaContext:
     """The family of multipartitions reached from gamma by one batch of additions."""
 
-    def __init__(self, gamma, residue_set, multiset, ctx, addable, elements):
+    def __init__(self, gamma, residue_set, multiset, ctx, addable, positions):
         self.gamma = gamma
         self.residue_set = residue_set
         self.multiset = multiset
         self.ctx = ctx
         self.addable = addable  # residue -> ordered list of addable nodes
-        self.elements = elements  # sorted along a linear extension of dominance
-        self.index = {mp: i for i, mp in enumerate(elements)}
-        self._added_cache: dict[Multipartition, dict[int, tuple[int, ...]]] = {}
+        # member -> residue -> its filled slots, in a linear extension of dominance
+        self.positions = positions
+        self.elements = list(positions)
+        self.index = {mp: i for i, mp in enumerate(self.elements)}
 
     # -- basic views ---------------------------------------------------------
 
@@ -106,38 +108,24 @@ class GammaContext:
         return lam in self.index
 
     def require(self, lam: Multipartition) -> Multipartition:
-        if lam not in self.index:
-            raise NotInGamma(f"{lam} is not in the index set over {self.gamma}")
+        self.added_positions(lam)
         return lam
 
     # -- added-node bookkeeping ------------------------------------------------
 
     def added_positions(self, lam: Multipartition) -> dict[int, tuple[int, ...]]:
-        """Per residue, the 1-based positions in the addable list of lam's
-        added nodes, ascending."""
-        cached = self._added_cache.get(lam)
-        if cached is not None:
-            return cached
-        self.require(lam)
-        added = set(lam.diagram_difference(self.gamma))
-        out = {}
-        for r, nodes in self.addable.items():
-            positions = tuple(
-                i for i, node in enumerate(nodes, start=1) if node in added
-            )
-            out[r] = positions
-        self._added_cache[lam] = out
-        return out
+        """Per residue of S, the 1-based positions in the addable list of
+        lam's added nodes, ascending."""
+        positions = self.positions.get(lam)
+        if positions is None:
+            raise NotInGamma(f"{lam} is not in the index set over {self.gamma}")
+        return positions
 
-    def added_nodes(self, lam: Multipartition, residue=None) -> list[Node]:
-        diff = lam.diagram_difference(self.gamma)
-        if residue is None:
-            return sorted(diff, key=lambda n: self.ctx.node_coord(n))
+    def added_nodes(self, lam: Multipartition, residue) -> list[Node]:
+        """lam's added nodes of one residue, in coordinate order."""
         r = self.ctx.residue(residue)
-        return sorted(
-            (n for n in diff if self.ctx.residue_of(n) == r),
-            key=lambda n: self.ctx.node_coord(n),
-        )
+        slots = self.addable[r]
+        return [slots[i - 1] for i in self.added_positions(lam)[r]]
 
     def leq(self, mu: Multipartition, lam: Multipartition) -> bool:
         """mu <= lam in dominance, tested on added positions.
@@ -176,7 +164,8 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
         raise NotAdmissible(
             f"{gamma} has removable nodes of residues {sorted(residue_set)}"
         )
-    multiset = {ctx.residue(r): int(m) for r, m in multiset.items() if int(m) != 0}
+    counts = {r: exact_int(m) for r, m in multiset.items()}
+    multiset = {ctx.residue(r): m for r, m in counts.items() if m != 0}
     for r in multiset:
         if r not in residue_set:
             raise ValueError(f"multiset residue {r} is not in S = {sorted(residue_set)}")
@@ -188,28 +177,40 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
                 f"need {m} nodes of residue {r} but only {len(addable[r])} are addable"
             )
 
+    # Dominance pushes every point weakly left, so the componentwise sum of
+    # coordinates is strictly monotone along strict dominance.  gamma's own
+    # nodes add the same constant to every member, so summing over the
+    # filled slots alone gives the same order; ties between incomparable
+    # members break lexicographically on the parts.
+    coords = {r: [ctx.node_coord(n) for n in addable[r]] for r in multiset}
     active = sorted(multiset)
-    choices = [combinations(range(len(addable[r])), multiset[r]) for r in active]
-    elements = []
+    choices = [combinations(range(1, len(addable[r]) + 1), multiset[r]) for r in active]
+    members = []
     for pick in product(*choices):
-        nodes = []
-        for r, idxs in zip(active, pick):
-            nodes.extend(addable[r][i] for i in idxs)
-        elements.append(gamma.with_nodes(nodes))
-    elements.sort(key=lambda m: dominance_sort_key(m, ctx))
-    return GammaContext(gamma, residue_set, multiset, ctx, addable, elements)
+        filled = dict(zip(active, pick))
+        added = [(addable[r][i - 1], coords[r][i - 1]) for r in active for i in filled[r]]
+        lam = gamma.with_nodes([node for node, _ in added])
+        key = (sum(c.base for _, c in added), sum(c.eps for _, c in added), lam.comps)
+        members.append((key, lam, {r: filled.get(r, ()) for r in addable}))
+    members.sort(key=lambda member: member[0])
+    positions = {lam: filled for _, lam, filled in members}
+    return GammaContext(gamma, residue_set, multiset, ctx, addable, positions)
 
 
 def admissible_core(lam: Multipartition, mu: Multipartition, residues, ctx: ParamContext):
     """The common base under lam and mu: their meet with all removable
     S-nodes stripped, iterated to a fixed point."""
-    core = lam.meet(mu)
-    res = ctx.check_adjacency_free(residues)
+    return strip_residues(lam.meet(mu), ctx.check_adjacency_free(residues), ctx)
+
+
+def strip_residues(lam: Multipartition, residues, ctx: ParamContext) -> Multipartition:
+    """lam with removable nodes of the given residues taken off, the
+    coordinate-first one each time, until none is left."""
     while True:
-        rem = removable_nodes(core, ctx, res)
+        rem = removable_nodes(lam, ctx, residues)
         if not rem:
-            return core
-        core = core.without_node(rem[0])
+            return lam
+        lam = lam.without_node(rem[0])
 
 
 def gamma_context_for_pair(lam, mu, residue, ctx: ParamContext) -> GammaContext:

@@ -124,15 +124,3 @@ def theta_leq(mu: Multipartition, lam: Multipartition, ctx: ParamContext) -> boo
     """mu <= lam in the theta-dominance order (lam is at least as dominant)."""
     return dominates(loading_of(lam, ctx), loading_of(mu, ctx))
 
-
-def dominance_sort_key(lam: Multipartition, ctx: ParamContext):
-    """A deterministic key whose order extends theta-dominance.
-
-    Dominance pushes every point weakly left, so the componentwise sum of
-    coordinates is strictly monotone along strict dominance; ties between
-    incomparable multipartitions break lexicographically on the parts.
-    """
-    points = loading_of(lam, ctx).points
-    total_base = sum((c.base for c, _ in points), start=0)
-    total_eps = sum(c.eps for c, _ in points)
-    return (total_base, total_eps, lam.comps)

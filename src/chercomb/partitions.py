@@ -22,7 +22,7 @@ class Node(NamedTuple):
 def exact_int(value) -> int:
     """int(value), refusing a number with a fractional part rather than
     truncating it."""
-    if isinstance(value, float) and not value.is_integer():
+    if not isinstance(value, str) and value % 1:
         raise ValueError(f"expected an integer, got {value}")
     return int(value)
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gamma import addable_nodes, build_gamma_set, removable_nodes
+from .gamma import addable_nodes, build_gamma_set, strip_residues
 from .params import ParamContext
 from .partitions import Multipartition
 from .peeling import EngineDisagreement, family_entries
@@ -66,7 +66,7 @@ def random_single_residue_context(
             continue
         residues = list(candidates)
         residue = rng.choices(residues, weights=[candidates[r] ** 3 for r in residues])[0]
-        base = _strip_residue(base, residue, ctx)
+        base = strip_residues(base, [residue], ctx)
         slots = addable_nodes(base, ctx, [residue])
         if not (1 <= len(slots) <= max_addable):
             continue
@@ -101,14 +101,6 @@ def _random_multipartition(rng, level, total) -> Multipartition:
             size -= p
         comps.append(tuple(part))
     return Multipartition(comps)
-
-
-def _strip_residue(lam, residue, ctx) -> Multipartition:
-    while True:
-        rem = removable_nodes(lam, ctx, [residue])
-        if not rem:
-            return lam
-        lam = lam.without_node(rem[0])
 
 
 @dataclass

@@ -59,9 +59,6 @@ class Tableau:
         moved = {str(a): str(b) for a, b in sorted(self.mapping.items()) if a != b}
         return f"Tableau({self.shape} -> {self.weight}, moved={moved})"
 
-    def target(self, node: Node) -> Node:
-        return self.mapping[node]
-
     def degree(self, ctx: ParamContext) -> int:
         if self._degree is None:
             self._degree = tableau_degree(self, ctx)
@@ -194,8 +191,6 @@ def iter_index_bijections(sources, targets):
 
 
 def _enumerate_restricted(lam, mu, gctx: GammaContext):
-    gctx.require(lam)
-    gctx.require(mu)
     src = gctx.added_positions(lam)
     dst = gctx.added_positions(mu)
     residues = sorted(r for r in src if src[r])

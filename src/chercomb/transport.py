@@ -29,7 +29,6 @@ def sigma_indices(lam: Multipartition, gctx: GammaContext) -> tuple[int, ...]:
     """For each k, the least prefix of the addable list containing k added
     nodes of lam; equivalently the ascending slot positions of the added
     nodes."""
-    gctx.require(lam)
     return gctx.added_positions(lam)[gctx.residue]
 
 

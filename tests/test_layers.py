@@ -36,7 +36,7 @@ def test_layer_binding_resolves(name):
 
 # Run in a child interpreter, so the tracer's wrappers never reach the
 # modules this test session shares; -B keeps it from writing bytecode.
-NESTED_MATRIX_TRACE = """
+TRACE = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import chercomb.cli
@@ -45,19 +45,36 @@ from layers import CLI, Tracer
 tracer = Tracer()
 tracer.install()
 handle = tracer.open()
-code = chercomb.cli.main(["decomp", sys.argv[3], "--matrix", "--engine", "nested", "--out", sys.argv[4]])
+code = chercomb.cli.main(json.loads(sys.argv[4]))
 tracer.close(CLI, handle)
-tracer.check_coverage("nested_matrix")
-print(json.dumps({"code": code, "calls": tracer.metrics()["terrain.decorate_calls"]}))
+tracer.check_coverage(sys.argv[3])
+print(json.dumps({"code": code, "metrics": tracer.metrics()}))
 """
 
+# FLOTW2 members filling slots (1,3) and (4,6): comparable, with a
+# nontrivial dominance interval between them.
+PAIR = ["[[8,6,3,1,1],[5,5,4,2,2,1,1]]", "[[7,5,3,1,1],[5,5,5,3,2,1,1]]"]
 
-def test_nested_matrix_coverage(tmp_path, flotw2_file):
-    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), flotw2_file, str(tmp_path / "out.json")]
+# workload -> the command line it runs, FLOTW2 standing for the context file
+WORKLOAD_ARGV = {
+    "nested_matrix": ["decomp", "FLOTW2", "--matrix", "--engine", "nested"],
+    "flotw_pair": ["decomp", "FLOTW2", "--pair", *PAIR, "--engine", "both"],
+    "selfcheck": ["selfcheck", "--count", "5"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ARGV))
+def test_cli_workload_coverage(workload, tmp_path, flotw2_file):
+    """The command behind each CLI workload, traced, calls every layer the
+    workload requires."""
+    argv = [flotw2_file if a == "FLOTW2" else a for a in WORKLOAD_ARGV[workload]]
+    argv += ["--out", str(tmp_path / "out.json")]
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", NESTED_MATRIX_TRACE, *argv],
+        [sys.executable, "-B", "-c", TRACE, str(ROOT / "perfbench"), str(ROOT / "src"),
+         workload, json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["code"] == 0 and result["calls"] > 0
+    assert result["code"] == 0
+    assert result["metrics"]["gamma.build_calls"] > 0

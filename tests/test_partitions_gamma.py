@@ -1,20 +1,26 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from chercomb import (
     AdjacencyViolation,
     MultisetTooLarge,
     NotAdmissible,
+    NotInGamma,
     ParamContext,
     addable_nodes,
     build_gamma_set,
     empty_multipartition,
     is_admissible,
+    loading_of,
     mp,
     removable_nodes,
     residue_multiset,
 )
 from chercomb.gamma import saturation_check
 from chercomb.partitions import Multipartition, Node
+from chercomb.selfcheck import random_single_residue_context
 
 
 def test_partition_validation():
@@ -30,6 +36,27 @@ def test_partition_rejects_fractional_parts():
     with pytest.raises(ValueError, match="expected an integer, got 5.5"):
         mp([5.5, 1.2])
     assert mp([5.0, 1]) == mp([5, 1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ParamContext(Fraction(7, 2), [0], ["0"], "1"),
+        lambda: mp([Fraction(11, 2)]),
+        lambda: build_gamma_set(mp([5, 1, 1, 1, 1]), [0], {0: 1.5}, ParamContext(5, [0], ["0"], "1")),
+    ],
+    ids=["e", "part", "multiset_count"],
+)
+def test_integer_fields_reject_fractions(build):
+    with pytest.raises(ValueError, match="expected an integer, got (7/2|11/2|1.5)"):
+        build()
+
+
+def test_integer_fields_accept_integral_values():
+    assert ParamContext("5", [Fraction(4, 2)], ["0"], "1").e == 5
+    assert mp([Fraction(4, 2), 1.0]) == mp([2, 1])
+    gctx = build_gamma_set(mp([5, 1, 1, 1, 1]), [0], {0: Fraction(2)}, ParamContext(5, [0], ["0"], "1"))
+    assert gctx.multiset == {0: 2}
 
 
 def test_residue_of():
@@ -162,3 +189,56 @@ def test_singleton_residue_moves(ctx_e5):
         assert set(removable_nodes(lam, ctx_e5, [0])) == added
         remaining = [n for n in gctx.addable[0] if n not in added]
         assert addable_nodes(lam, ctx_e5, [0]) == remaining
+
+
+def full_loading_key(lam, ctx):
+    """The order families were once sorted by: coordinate sums over every
+    node of the loading, then the parts."""
+    points = loading_of(lam, ctx).points
+    return (sum(c.base for c, _ in points), sum(c.eps for c, _ in points), lam.comps)
+
+
+def assert_slots_match_diagrams(gctx):
+    """Stored slot positions agree with the diagram difference from gamma,
+    and the family is in full-loading order."""
+    ctx = gctx.ctx
+    for lam in gctx.elements:
+        added = set(lam.diagram_difference(gctx.gamma))
+        want = {
+            r: tuple(i for i, node in enumerate(nodes, start=1) if node in added)
+            for r, nodes in gctx.addable.items()
+        }
+        stored = gctx.added_positions(lam)
+        assert stored == want and list(stored) == sorted(gctx.residue_set), lam
+        for r in gctx.residue_set:
+            of_r = [n for n in added if ctx.residue_of(n) == r]
+            assert gctx.added_nodes(lam, r) == sorted(of_r, key=ctx.node_coord)
+    assert gctx.elements == sorted(gctx.elements, key=lambda lam: full_loading_key(lam, ctx))
+
+
+def test_stored_slots_flotw_family():
+    ctx = ParamContext(3, [2, 1], ["0", "1"], "2")
+    gctx = build_gamma_set(mp([7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1]), [0], {0: 2}, ctx)
+    assert len(gctx) == 45
+    assert_slots_match_diagrams(gctx)
+
+
+def test_stored_slots_two_residues(gctx_admissible_pair):
+    gctx = gctx_admissible_pair
+    assert_slots_match_diagrams(gctx)
+    with pytest.raises(NotInGamma, match="is not in the index set over"):
+        gctx.added_positions(gctx.gamma)
+
+
+def test_stored_slots_one_member(ctx_e5):
+    gctx = build_gamma_set(mp([2, 1]), [0], {0: 0}, ctx_e5)
+    assert gctx.elements == [mp([2, 1])]
+    assert gctx.added_positions(mp([2, 1])) == {0: ()}
+    assert_slots_match_diagrams(gctx)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_stored_slots_random_families(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        assert_slots_match_diagrams(random_single_residue_context(rng))

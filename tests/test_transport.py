@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chercomb import (
@@ -7,12 +9,15 @@ from chercomb import (
     TransportMap,
     build_gamma_set,
     component_word,
+    delta_character,
     enumerate_sstd,
     interval_length,
     mp,
+    nested_decomposition_number,
     sigma_indices,
     tableau_from_word,
 )
+from chercomb.selfcheck import random_single_residue_context
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +104,33 @@ def test_incompatible_contexts(gctx_hook):
     bigger = build_gamma_set(mp([10, 9, 9, 6, 4, 4, 3, 2, 1, 1]), [0], {0: 1}, ctx)
     with pytest.raises(IncompatibleContexts):
         TransportMap(gctx_hook, bigger)
+
+
+def test_transport_preserves_characters_and_decomposition_numbers():
+    """Families with equal slot and added counts have the same characters
+    and decomposition numbers under transport, across e, level and theta."""
+    rng = random.Random(5)
+    groups = {}
+    for _ in range(400):
+        gctx = random_single_residue_context(rng)
+        key = (len(gctx.addable[gctx.residue]), gctx.multiset[gctx.residue])
+        groups.setdefault(key, []).append(gctx)
+    pairs = 0
+    for families in groups.values():
+        for source, target in zip(families, families[1:]):
+            a, b = source.ctx, target.ctx
+            if (a.e, a.level, a.theta) == (b.e, b.level, b.theta):
+                continue
+            tmap = TransportMap(source, target)
+            for lam in source.elements:
+                for mu in source.elements:
+                    lam2, mu2 = tmap.multipartition(lam), tmap.multipartition(mu)
+                    assert delta_character(lam, mu, a, gctx=source) == delta_character(
+                        lam2, mu2, b, gctx=target
+                    ), (lam, mu, lam2, mu2)
+                    assert (
+                        nested_decomposition_number(lam, mu, source).value
+                        == nested_decomposition_number(lam2, mu2, target).value
+                    ), (lam, mu, lam2, mu2)
+                    pairs += 1
+    assert len(groups) >= 10 and pairs > 5000
