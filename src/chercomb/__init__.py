@@ -32,7 +32,6 @@ from .loadings import (
     Dominance,
     DuplicateCoordinate,
     Loading,
-    coord_of_node,
     dominates,
     loading_of,
     residue_multiset,

@@ -252,6 +252,8 @@ def cmd_terrain(args):
 
 
 def cmd_chi(args):
+    if args.depth < 0:
+        raise ValidationError(f"--depth must be at least 0, got {args.depth}")
     ctx, gctx, eps = parse_context(args.context)
     gctx = _need_gamma(gctx)
     seq = chi_sequence(gctx.gamma, gctx.residue, ctx)
@@ -406,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decomp", help="graded decomposition numbers")
     common(p)
     p.add_argument("--engine", choices=ENGINES, default="both")
-    p.add_argument("--pair", nargs=2, metavar=("SHAPE", "WEIGHT"))
-    p.add_argument("--matrix", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pair", nargs=2, metavar=("SHAPE", "WEIGHT"))
+    mode.add_argument("--matrix", action="store_true")
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("terrain", help="terrain of a weight, optionally decorated")

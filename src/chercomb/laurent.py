@@ -82,13 +82,6 @@ class LaurentPoly:
     def exponents(self):
         return sorted(self.coeffs)
 
-    def evaluate(self, value):
-        """Evaluate at a numeric value of t (exact for Fraction input)."""
-        total = 0
-        for e, c in self.coeffs.items():
-            total += c * value**e
-        return total
-
     def has_nonnegative_coeffs(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
 

@@ -19,10 +19,6 @@ class DuplicateCoordinate(ValueError):
     """Two points of one loading share a coordinate (invalid weighting)."""
 
 
-def coord_of_node(node: Node, ctx: ParamContext) -> ExactCoord:
-    return ctx.node_coord(node)
-
-
 class Loading:
     """Sorted sequence of (coordinate, residue) points with node provenance."""
 

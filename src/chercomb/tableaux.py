@@ -25,6 +25,8 @@ to it, and two vertical strands, which never cross, are never compared.
 
 from __future__ import annotations
 
+from itertools import chain, product
+
 from .gamma import GammaContext
 from .laurent import LaurentPoly
 from .loadings import loading_of, residue_multiset
@@ -171,54 +173,53 @@ def _enumerate_general(lam, mu, ctx):
 
 def iter_index_bijections(sources, targets):
     """Bijections f between two equal-size ascending index tuples with
-    f(s) >= s, yielded as tuples of (source, target) pairs."""
+    f(s) >= s, as tuples of (source, target) pairs, lexicographic in the
+    targets.
+
+    These are rook placements on a Ferrers board.  Placed largest source
+    first, each source may take any free target weakly right of it: the
+    larger sources already placed sit on targets it could take too, so
+    every source has the same number of choices on every branch, and when
+    any bijection exists every choice extends to one.
+    """
     if len(sources) != len(targets):
-        return
-    n = len(sources)
+        return []
+    placements = [()]
+    for s in reversed(sources):
+        # t outermost keeps the placements lexicographic in their targets
+        placements = [
+            (t,) + rest for t in targets if t >= s for rest in placements if t not in rest
+        ]
+    return [tuple(zip(sources, p)) for p in placements]
 
-    def rec(i, remaining):
-        if i == n:
-            yield ()
-            return
-        s = sources[i]
-        for j, t in enumerate(remaining):
-            if t >= s:
-                rest = remaining[:j] + remaining[j + 1 :]
-                for tail in rec(i + 1, rest):
-                    yield ((s, t),) + tail
 
-    yield from rec(0, tuple(targets))
+def pinned_tableau(lam, mu, gctx: GammaContext, moves) -> Tableau:
+    """The base-pinned tableau of shape lam and weight mu: gamma's nodes
+    stay in place and each (node, target) move sends an added node of lam
+    to one of mu."""
+    mapping = {node: node for node in gctx.gamma.nodes()}
+    mapping.update(moves)
+    return Tableau(lam, mu, mapping)
 
 
 def _enumerate_restricted(lam, mu, gctx: GammaContext):
+    """Per residue, a base-pinned tableau sends lam's filled slots onto
+    mu's, each target weakly right; residues combine independently."""
     src = gctx.added_positions(lam)
     dst = gctx.added_positions(mu)
-    residues = sorted(r for r in src if src[r])
     per_residue = []
-    for r in residues:
-        options = list(iter_index_bijections(src[r], dst[r]))
-        if not options:
-            return []
-        per_residue.append((r, options))
-
-    base_mapping = {node: node for node in gctx.gamma.nodes()}
-    results = []
-
-    def build(i, mapping):
-        if i == len(per_residue):
-            results.append(Tableau(lam, mu, dict(mapping)))
-            return
-        r, options = per_residue[i]
-        nodes = gctx.addable[r]
-        for pairs in options:
-            for s, t in pairs:
-                mapping[nodes[s - 1]] = nodes[t - 1]
-            build(i + 1, mapping)
-            for s, t in pairs:
-                del mapping[nodes[s - 1]]
-
-    build(0, base_mapping)
-    return results
+    for r in sorted(r for r in src if src[r]):
+        slots = gctx.addable[r]
+        per_residue.append(
+            [
+                [(slots[s - 1], slots[t - 1]) for s, t in pairs]
+                for pairs in iter_index_bijections(src[r], dst[r])
+            ]
+        )
+    return [
+        pinned_tableau(lam, mu, gctx, chain.from_iterable(moves))
+        for moves in product(*per_residue)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .gamma import GammaContext, build_gamma_set
 from .laurent import LaurentPoly
 from .partitions import Multipartition
 from .peeling import gamma_peel_matrix
-from .tableaux import Tableau, enumerate_sstd
+from .tableaux import Tableau, enumerate_sstd, pinned_tableau
 
 
 @dataclass
@@ -61,13 +61,15 @@ def psi_tableau(tab: Tableau, fctx: FactoredContext) -> dict[int, Tableau]:
     parts_shape = psi_multipartition(tab.shape, fctx)
     parts_weight = psi_multipartition(tab.weight, fctx)
     gctx = fctx.parent
-    out = {}
-    for r in fctx.active_residues:
-        mapping = {node: node for node in gctx.gamma.nodes()}
-        for node in gctx.added_nodes(tab.shape, r):
-            mapping[node] = tab.mapping[node]
-        out[r] = Tableau(parts_shape[r], parts_weight[r], mapping)
-    return out
+    return {
+        r: pinned_tableau(
+            parts_shape[r],
+            parts_weight[r],
+            gctx,
+            [(node, tab.mapping[node]) for node in gctx.added_nodes(tab.shape, r)],
+        )
+        for r in fctx.active_residues
+    }
 
 
 @dataclass
@@ -89,19 +91,17 @@ def factor_check(fctx: FactoredContext) -> FactorReport:
     pairs = 0
     tableaux = 0
 
+    split = {lam: psi_multipartition(lam, fctx) for lam in gctx.elements}
+
     # degree additivity, tableau by tableau, with a count cross-check
     for lam in gctx.elements:
         for mu in gctx.elements:
             tabs = enumerate_sstd(lam, mu, ctx, gctx)
             pairs += 1
             split_counts = 1
-            split_sets = {}
             for r in fctx.active_residues:
                 child = fctx.children[r]
-                parts_l = psi_multipartition(lam, fctx)[r]
-                parts_m = psi_multipartition(mu, fctx)[r]
-                split_sets[r] = enumerate_sstd(parts_l, parts_m, ctx, child)
-                split_counts *= len(split_sets[r])
+                split_counts *= len(enumerate_sstd(split[lam][r], split[mu][r], ctx, child))
             if split_counts != len(tabs):
                 return FactorReport(
                     False,
@@ -127,12 +127,10 @@ def factor_check(fctx: FactoredContext) -> FactorReport:
     full = gamma_peel_matrix(gctx)
     children_matrices = {r: gamma_peel_matrix(fctx.children[r]) for r in fctx.active_residues}
     for lam in gctx.elements:
-        parts_l = psi_multipartition(lam, fctx)
         for mu in gctx.elements:
-            parts_m = psi_multipartition(mu, fctx)
             product = LaurentPoly.one()
             for r in fctx.active_residues:
-                product = product * children_matrices[r].entry(parts_l[r], parts_m[r])
+                product = product * children_matrices[r].entry(split[lam][r], split[mu][r])
             if full.entry(lam, mu) != product:
                 return FactorReport(
                     False,

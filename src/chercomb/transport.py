@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .gamma import GammaContext, NotInGamma
 from .partitions import Multipartition
-from .tableaux import Tableau
+from .tableaux import Tableau, pinned_tableau
 
 
 class NotComparable(ValueError):
@@ -56,15 +56,11 @@ def component_word(tab: Tableau, gctx: GammaContext) -> tuple[int, ...]:
 
 
 def tableau_from_word(lam, mu, word, gctx: GammaContext) -> Tableau:
-    r = gctx.residue
-    slots = gctx.addable[r]
-    mapping = {node: node for node in gctx.gamma.nodes()}
-    for s, t in zip(sigma_indices(lam, gctx), word):
-        mapping[slots[s - 1]] = slots[t - 1]
-    tab = Tableau(lam, mu, mapping)
+    slots = gctx.addable[gctx.residue]
+    moves = [(slots[s - 1], slots[t - 1]) for s, t in zip(sigma_indices(lam, gctx), word)]
     if sorted(word) != list(sigma_indices(mu, gctx)):
         raise NotInGamma(f"word {word} does not fill the added slots of {mu}")
-    return tab
+    return pinned_tableau(lam, mu, gctx, moves)
 
 
 @dataclass(frozen=True)

@@ -383,3 +383,25 @@ def test_usage_error_exits_one(capsys, flotw2_file):
     with pytest.raises(SystemExit) as exc:
         main(["decomp", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--pair", "[[5,1,1,1,1,1]]", "[[5,1,1,1,1,1]]", "--matrix"]],
+    ids=["neither", "both"],
+)
+def test_decomp_needs_pair_or_matrix(capsys, hook_file, extra):
+    code, out = run(capsys, "decomp", hook_file, *extra)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert "--pair" in detail and "--matrix" in detail
+
+
+def test_chi_rejects_negative_depth(capsys, tmp_path):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(HOOK_CONTEXT))
+    code, out = run(capsys, "chi", str(path), "--compare", str(path), "--depth", "-1")
+    assert code == 1
+    assert "--depth" in json.loads(out)["detail"]
+    code, out = run(capsys, "chi", str(path), "--compare", str(path), "--depth", "0")
+    assert code == 0

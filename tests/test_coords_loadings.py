@@ -9,7 +9,6 @@ from chercomb import (
     ParamContext,
     ValidationError,
     coord,
-    coord_of_node,
     dominates,
     loading_of,
     mp,
@@ -29,11 +28,11 @@ def test_exact_coord_order():
 
 def test_coord_of_node_examples():
     ctx = ParamContext(5, [0], ["0"], "1")
-    assert coord_of_node(Node(1, 1, 1), ctx) == coord(0, 2)
-    assert coord_of_node(Node(3, 1, 1), ctx) == coord(2, 4)
+    assert ctx.node_coord(Node(1, 1, 1)) == coord(0, 2)
+    assert ctx.node_coord(Node(3, 1, 1)) == coord(2, 4)
     two = ParamContext(5, [0, 0], ["0", "1/2"], "1")
-    assert coord_of_node(Node(1, 2, 1), two) == coord(-1, 3)
-    assert coord_of_node(Node(1, 2, 1), two).numeric(Fraction(1, 100)) == Fraction(-97, 100)
+    assert two.node_coord(Node(1, 2, 1)) == coord(-1, 3)
+    assert two.node_coord(Node(1, 2, 1)).numeric(Fraction(1, 100)) == Fraction(-97, 100)
 
 
 def test_weighting_validation():

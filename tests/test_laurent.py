@@ -23,11 +23,6 @@ def test_ring_ops():
     assert t_power(5) * t_power(-5) == LaurentPoly.one()
 
 
-def test_evaluate_at_one():
-    f = poly({-2: 1, 0: 4, 3: 2})
-    assert f.evaluate(1) == 7
-
-
 def test_bar_involution():
     assert LaurentPoly.one().bar() == LaurentPoly.one()
     assert poly({2: 1, -1: 3}).bar() == poly({-2: 1, 1: 3})

@@ -1,3 +1,8 @@
+import random
+from itertools import permutations
+
+import pytest
+
 from chercomb import (
     LaurentPoly,
     delta_character,
@@ -7,7 +12,7 @@ from chercomb import (
     tableau_degree,
 )
 from chercomb.partitions import Node
-from chercomb.tableaux import Tableau
+from chercomb.tableaux import Tableau, iter_index_bijections
 
 
 def test_identity_tableau_unique(ctx_e5):
@@ -90,3 +95,28 @@ def test_gamma_strands_pinned(gctx_hook, ctx_e5):
     for node in gctx_hook.gamma.nodes():
         assert tab.mapping[node] == node
     assert tab.mapping[Node(1, 6, 1)] == Node(6, 1, 1)
+
+
+def brute_force_bijections(sources, targets):
+    return [
+        tuple(zip(sources, p))
+        for p in permutations(targets)
+        if all(t >= s for s, t in zip(sources, p))
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_index_bijections_match_brute_force(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        sources = tuple(sorted(rng.sample(range(1, 11), n)))
+        targets = tuple(sorted(rng.sample(range(1, 11), n)))
+        got = list(iter_index_bijections(sources, targets))
+        assert got == brute_force_bijections(sources, targets)
+
+
+def test_index_bijections_unequal_lengths():
+    assert list(iter_index_bijections((1, 2), (3,))) == []
+    assert list(iter_index_bijections((), (1,))) == []
+    assert list(iter_index_bijections((4,), ())) == []
