@@ -135,14 +135,7 @@ def cmd_validate(args):
 def cmd_gamma_set(args):
     _, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
-    strict = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
-    below = set(strict)
-    edges = [
-        [gctx.index[lam], gctx.index[mu]]
-        for lam, mu in strict
-        # Hasse edge: nothing strictly between
-        if not any((lam, xi) in below and (xi, mu) in below for xi in gctx.elements)
-    ]
+    edges = [[gctx.index[lam], gctx.index[mu]] for lam, mu in gctx.covers()]
     payload = {
         "top": multipartition_to_json(gctx.top),
         "bottom": multipartition_to_json(gctx.bottom),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import ExactCoord
-from .gamma import removable_nodes
+from .gamma import addable_nodes, removable_nodes
 from .params import ParamContext
 from .partitions import Multipartition, Node
 
@@ -62,38 +62,24 @@ def i_diagonals(gamma: Multipartition, residue: int, ctx: ParamContext) -> list[
         raise DiagonalModelViolation(
             f"{gamma} has removable nodes of residue {r}: {[str(n) for n in bad]}"
         )
+    addable = addable_nodes(gamma, ctx, [r])
     out = []
     for k in range(1, gamma.level + 1):
-        out.extend(_component_diagonals(gamma, k, r, ctx))
+        out.extend(_component_diagonals(gamma, k, r, ctx, addable))
     out.sort(key=lambda d: d.x)
     return out
 
 
-def _component_diagonals(gamma, comp, residue, ctx):
-    part = gamma.comps[comp - 1]
-    rows = len(part)
-    offsets = set()
-    # offsets carrying residue-i nodes of the component
-    for row, length in enumerate(part, start=1):
-        if ctx.finite:
-            kappa = ctx.multicharge[comp - 1]
-            # columns c in 1..length with kappa + c - row = residue (mod e)
-            first = (residue - kappa + row) % ctx.e
-            if first == 0:
-                first = ctx.e
-            for col in range(first, length + 1, ctx.e):
-                offsets.add(row - col)
-        else:
-            col = residue - ctx.multicharge[comp - 1] + row
-            if 1 <= col <= length:
-                offsets.add(row - col)
-    # offsets whose next free slot is an addable node of the residue
-    addable_offset = {}
-    for row in range(1, rows + 2):
-        node = Node(row, gamma.row_length(comp, row) + 1, comp)
-        if gamma.is_addable(node) and ctx.residue_of(node) == residue:
-            offsets.add(node.row - node.col)
-            addable_offset[node.row - node.col] = node
+def _component_diagonals(gamma, comp, residue, ctx, addable):
+    # offsets r - c carrying the component's residue-i nodes or its addable ones
+    offsets = {
+        row - col
+        for row, length in enumerate(gamma.comps[comp - 1], start=1)
+        for col in range(1, length + 1)
+        if ctx.residue_of(Node(row, col, comp)) == residue
+    }
+    addable_offset = {node.row - node.col: node for node in addable if node.comp == comp}
+    offsets.update(addable_offset)
 
     diagonals = []
     for offset in offsets:

@@ -78,6 +78,8 @@ class GammaContext:
         self.positions = positions
         self.elements = list(positions)
         self.index = {mp: i for i, mp in enumerate(self.elements)}
+        # (filled slots of each residue of S, in residue order) -> member
+        self.by_slots = {tuple(filled[r] for r in addable): lam for lam, filled in positions.items()}
 
     # -- basic views ---------------------------------------------------------
 
@@ -144,12 +146,31 @@ class GammaContext:
         along the order."""
         return [(lam, mu) for lam in self.elements for mu in self.elements if self.leq(mu, lam)]
 
+    def covers(self) -> list[tuple[Multipartition, Multipartition]]:
+        """Every Hasse edge (lam, mu), mu covered by lam, lam-major along
+        the order.
+
+        Residue by residue the order compares filled-slot sets entrywise (a
+        Gale order: Young's lattice in a box), so lam covers mu exactly when
+        mu is lam with one filled slot moved one step right into a free slot.
+        """
+        edges = []
+        for lam, filled in self.positions.items():
+            for r, slots in filled.items():
+                for s in slots:
+                    if s < len(self.addable[r]) and s + 1 not in slots:
+                        moved = tuple(s + 1 if t == s else t for t in slots)
+                        edges.append((lam, self.element_from_positions({**filled, r: moved})))
+        edges.sort(key=lambda edge: (self.index[edge[0]], self.index[edge[1]]))
+        return edges
+
     def element_from_positions(self, positions: dict[int, tuple[int, ...]]) -> Multipartition:
-        nodes = []
-        for r, idxs in positions.items():
-            for i in idxs:
-                nodes.append(self.addable[r][i - 1])
-        return self.gamma.with_nodes(nodes)
+        """The member filling exactly the given 1-based slots, residue by
+        residue; a residue of S left out fills none."""
+        lam = self.by_slots.get(tuple(tuple(positions.get(r, ())) for r in self.addable))
+        if lam is None or not positions.keys() <= self.addable.keys():
+            raise NotInGamma(f"slots {positions} fill no member of the index set over {self.gamma}")
+        return lam
 
 
 def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContext:

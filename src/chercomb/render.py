@@ -7,7 +7,7 @@ dotted in SVG).
 
 from __future__ import annotations
 
-from .terrain import DecoratedTerrain, LatticedPath, Terrain
+from .terrain import DecoratedTerrain, LatticedPath, Terrain, prefix_heights
 
 
 def _decoration_marks(dt: DecoratedTerrain | None) -> dict[int, str]:
@@ -20,13 +20,6 @@ def _decoration_marks(dt: DecoratedTerrain | None) -> dict[int, str]:
     return marks
 
 
-def _heights(steps):
-    out = [0]
-    for s in steps:
-        out.append(out[-1] + s)
-    return out
-
-
 def terrain_ascii(
     terrain: Terrain,
     dt: DecoratedTerrain | None = None,
@@ -37,7 +30,7 @@ def terrain_ascii(
     n = len(steps)
     if n == 0:
         return "(empty terrain)"
-    heights = _heights(steps)
+    heights = prefix_heights(steps)
     lo, hi = min(heights), max(heights)
     grid = [[" "] * n for _ in range(hi - lo + 1)]
     marks = _decoration_marks(dt)
@@ -68,8 +61,8 @@ def terrain_svg(
     generic = terrain.directions()
     steps = path.steps if path is not None else generic
     n = len(steps)
-    heights = _heights(steps)
-    generic_heights = _heights(generic)
+    heights = prefix_heights(steps)
+    generic_heights = prefix_heights(generic)
     hi = max(generic_heights + heights) if n else 0
     lo = min(generic_heights + heights) if n else 0
     pad = scale

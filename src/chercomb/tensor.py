@@ -39,21 +39,17 @@ def factor_context(gctx: GammaContext) -> FactoredContext:
 
 
 def psi_multipartition(lam: Multipartition, fctx: FactoredContext) -> dict[int, Multipartition]:
-    """Per active residue, keep only that residue's added nodes on the base."""
-    gctx = fctx.parent
-    gctx.require(lam)
-    out = {}
-    for r in fctx.active_residues:
-        out[r] = gctx.gamma.with_nodes(gctx.added_nodes(lam, r))
-    return out
+    """Per active residue, the child member filling the same slots as lam;
+    a child's slots of its residue are the parent's, both being gamma's
+    addable nodes of that residue."""
+    filled = fctx.parent.added_positions(lam)
+    return {r: child.element_from_positions({r: filled[r]}) for r, child in sorted(fctx.children.items())}
 
 
 def psi_inverse(parts: dict[int, Multipartition], fctx: FactoredContext) -> Multipartition:
-    gctx = fctx.parent
-    nodes = []
-    for r, lam_r in parts.items():
-        nodes.extend(fctx.children[r].added_nodes(lam_r, r))
-    return gctx.gamma.with_nodes(nodes)
+    return fctx.parent.element_from_positions(
+        {r: fctx.children[r].added_positions(lam_r)[r] for r, lam_r in parts.items()}
+    )
 
 
 def psi_tableau(tab: Tableau, fctx: FactoredContext) -> dict[int, Tableau]:

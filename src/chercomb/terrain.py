@@ -145,11 +145,13 @@ class LatticedPath:
         lo, hi = self.pair
         return 1 + sum(1 for j in range(lo, hi - 1) if self.steps[j] != 0)
 
-    def heights(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
+
+def prefix_heights(steps) -> tuple[int, ...]:
+    """The heights of a walk's vertices, starting at 0."""
+    out = [0]
+    for s in steps:
+        out.append(out[-1] + s)
+    return tuple(out)
 
 
 def latticed_paths(dt: DecoratedTerrain, pair) -> list[LatticedPath]:
@@ -192,49 +194,27 @@ class WellNestedFamily:
 
 def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
     """All choices of one latticed path per pair such that whenever one pair
-    contains another, the inner path rides weakly above the outer one."""
+    contains another, the inner path rides weakly above the outer one.
+
+    Riding weakly above is transitive, so each path is checked only against
+    the pair immediately enclosing it.  Pairs are listed as they close, so
+    that pair is the first later one opening earlier, and choosing from the
+    last pair back fixes it first.
+    """
     pairs = list(dt.pairs)
     options = [latticed_paths(dt, p) for p in pairs]
-    heights = [[p.heights() for p in opts] for opts in options]
-    contained = [
-        [
-            q != p and pairs[q][0] < pairs[p][0] and pairs[p][1] < pairs[q][1]
-            for q in range(len(pairs))
+    heights = [[prefix_heights(p.steps) for p in opts] for opts in options]
+    choices = [()]  # choices for pairs i.. onwards
+    for i in reversed(range(len(pairs))):
+        outer = next((j for j in range(i + 1, len(pairs)) if pairs[j][0] < pairs[i][0]), None)
+        choices = [
+            (c,) + rest
+            for rest in choices
+            for c, h in enumerate(heights[i])
+            if outer is None
+            or all(x >= y for x, y in zip(h, heights[outer][rest[outer - i - 1]]))
         ]
-        for p in range(len(pairs))
-    ]
-
-    families: list[WellNestedFamily] = []
-    chosen: list[int] = []
-
-    def compatible(p_idx: int, choice: int) -> bool:
-        hp = heights[p_idx][choice]
-        for q_idx, is_outer in enumerate(contained[p_idx]):
-            if q_idx >= len(chosen):
-                continue
-            if is_outer:
-                hq = heights[q_idx][chosen[q_idx]]
-                if any(x < y for x, y in zip(hp, hq)):
-                    return False
-            if contained[q_idx][p_idx]:
-                hq = heights[q_idx][chosen[q_idx]]
-                if any(x > y for x, y in zip(hp, hq)):
-                    return False
-        return True
-
-    def rec(i: int):
-        if i == len(pairs):
-            families.append(
-                WellNestedFamily(tuple(options[j][c] for j, c in enumerate(chosen)))
-            )
-            return
-        for choice in range(len(options[i])):
-            if compatible(i, choice):
-                chosen.append(choice)
-                rec(i + 1)
-                chosen.pop()
-
-    rec(0)
+    families = [WellNestedFamily(tuple(opts[c] for opts, c in zip(options, cs))) for cs in choices]
     families.sort(key=lambda f: (-f.norm, tuple(p.steps for p in f.paths)))
     return families
 
@@ -264,17 +244,15 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     well-nested latticed-path families."""
     if not gctx.single_residue:
         raise NotInGamma("the closed formula needs a single-residue context")
-    gctx.require(lam)
-    gctx.require(mu)
-    if not gctx.multiset:  # nothing was added: the family is just the base
-        return NestedResult(LaurentPoly.one(), True)
-    flag = field_validity(gctx)
     if lam == mu:
-        return NestedResult(LaurentPoly.one(), flag)
+        gctx.require(lam)
+        # with nothing added the family is just the base
+        return NestedResult(LaurentPoly.one(), not gctx.multiset or field_validity(gctx))
+    # leq reads lam's positions, then mu's: a non-member raises NotInGamma, lam first
     if not gctx.leq(mu, lam):
-        return NestedResult(LaurentPoly.zero(), flag)
+        return NestedResult(LaurentPoly.zero(), field_validity(gctx))
     dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[gctx.residue])
     coeffs: dict[int, int] = {}
     for fam in well_nested_families(dt):
         coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
-    return NestedResult(LaurentPoly(coeffs), flag)
+    return NestedResult(LaurentPoly(coeffs), field_validity(gctx))

@@ -34,11 +34,9 @@ def sigma_indices(lam: Multipartition, gctx: GammaContext) -> tuple[int, ...]:
 
 def interval_length(lam, mu, gctx: GammaContext) -> int:
     """Sum of slot displacements between lam and the dominated mu."""
-    a = sigma_indices(lam, gctx)
-    b = sigma_indices(mu, gctx)
-    if any(x > y for x, y in zip(a, b)):
+    if not gctx.leq(mu, lam):
         raise NotComparable(f"{lam} does not dominate {mu}")
-    return sum(y - x for x, y in zip(a, b))
+    return sum(y - x for x, y in zip(sigma_indices(lam, gctx), sigma_indices(mu, gctx)))
 
 
 def component_word(tab: Tableau, gctx: GammaContext) -> tuple[int, ...]:
@@ -46,13 +44,8 @@ def component_word(tab: Tableau, gctx: GammaContext) -> tuple[int, ...]:
 
     A base-pinned tableau is uniquely determined by this word.
     """
-    r = gctx.residue
-    slots = gctx.addable[r]
-    slot_of = {node: i for i, node in enumerate(slots, start=1)}
-    word = []
-    for s in sigma_indices(tab.shape, gctx):
-        word.append(slot_of[tab.mapping[slots[s - 1]]])
-    return tuple(word)
+    slots = gctx.addable[gctx.residue]
+    return tuple(slots.index(tab.mapping[slots[s - 1]]) + 1 for s in sigma_indices(tab.shape, gctx))
 
 
 def tableau_from_word(lam, mu, word, gctx: GammaContext) -> Tableau:

@@ -86,6 +86,20 @@ def test_gamma_set_command(capsys, hook_file):
     assert payload["hasse_edges"] == [[0, 1], [1, 2]]
 
 
+def test_gamma_set_flotw_hasse_edges(capsys, tmp_path, flotw2_file):
+    # ten 0-slots, six filled: Young's lattice in a 6 x 4 box
+    with open(flotw2_file) as fh:
+        context = json.load(fh)
+    path = tmp_path / "flotw.json"
+    path.write_text(json.dumps(dict(context, multiset={"0": 6})))
+    code, out = run(capsys, "gamma-set", str(path))
+    payload = json.loads(out)
+    assert code == 0
+    assert len(payload["members"]) == 210
+    assert len(payload["hasse_edges"]) == 504
+    assert payload["hasse_edges"] == sorted(payload["hasse_edges"])
+
+
 def test_tableaux_and_delta_char(capsys, hook_file):
     code, out = run(
         capsys, "tableaux", hook_file, "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]", "--restricted"

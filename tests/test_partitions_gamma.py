@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,7 @@ def assert_slots_match_diagrams(gctx):
         for r in gctx.residue_set:
             of_r = [n for n in added if ctx.residue_of(n) == r]
             assert gctx.added_nodes(lam, r) == sorted(of_r, key=ctx.node_coord)
+        assert gctx.element_from_positions(stored) is lam
     assert gctx.elements == sorted(gctx.elements, key=lambda lam: full_loading_key(lam, ctx))
 
 
@@ -242,3 +244,46 @@ def test_stored_slots_random_families(seed):
     rng = random.Random(seed)
     for _ in range(60):
         assert_slots_match_diagrams(random_single_residue_context(rng))
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [{0: (1,)}, {0: (1, 1)}, {0: (9,)}, {0: (1, 2), 7: (1,)}],
+    ids=["short", "repeated", "slot-9", "residue-outside-S"],
+)
+def test_element_from_positions_rejects_non_members(ctx_e5, slots):
+    # the hook family with two 0-nodes added: three slots, three members
+    gctx = build_gamma_set(mp([5, 1, 1, 1, 1]), [0], {0: 2}, ctx_e5)
+    with pytest.raises(NotInGamma, match=re.escape(str(slots))):
+        gctx.element_from_positions(slots)
+
+
+def brute_force_covers(gctx):
+    """Hasse edges from the definition: mu < lam with nothing strictly
+    between, lam-major along the order."""
+    strict = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
+    below = set(strict)
+    return [
+        (lam, mu)
+        for lam, mu in strict
+        if not any((lam, xi) in below and (xi, mu) in below for xi in gctx.elements)
+    ]
+
+
+def test_covers_match_brute_force_flotw_family():
+    ctx = ParamContext(3, [2, 1], ["0", "1"], "2")
+    gctx = build_gamma_set(mp([7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1]), [0], {0: 2}, ctx)
+    covers = gctx.covers()
+    assert len(covers) > len(gctx) and covers == brute_force_covers(gctx)
+
+
+def test_covers_match_brute_force_two_residues(gctx_admissible_pair):
+    covers = gctx_admissible_pair.covers()
+    assert covers and covers == brute_force_covers(gctx_admissible_pair)
+
+
+def test_covers_match_brute_force_random_families():
+    rng = random.Random(23)
+    for _ in range(60):
+        gctx = random_single_residue_context(rng)
+        assert gctx.covers() == brute_force_covers(gctx), gctx.gamma

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate, product
 
 import pytest
 
@@ -17,7 +18,7 @@ from chercomb import (
     well_nested_families,
 )
 from chercomb.selfcheck import random_single_residue_context
-from chercomb.terrain import raw_family_count
+from chercomb.terrain import WellNestedFamily, raw_family_count
 
 
 def directions(terrain):
@@ -199,3 +200,71 @@ def test_slot_decoration_matches_coordinates_on_random_families(seed, node_decor
     rng = random.Random(seed)
     for _ in range(40):
         assert_slot_decoration_matches(random_single_residue_context(rng), node_decorate)
+
+
+def brute_force_families(dt):
+    """Every choice of one latticed path per pair, kept when each path rides
+    weakly above the path of every pair strictly containing its own."""
+    pairs = dt.pairs
+    containing = [
+        (i, j)
+        for i, (lo, hi) in enumerate(pairs)
+        for j, (outer_lo, outer_hi) in enumerate(pairs)
+        if outer_lo < lo and hi < outer_hi
+    ]
+
+    def heights(path):
+        return (0, *accumulate(path.steps))
+
+    kept = [
+        WellNestedFamily(choice)
+        for choice in product(*(latticed_paths(dt, p) for p in pairs))
+        if all(
+            all(x >= y for x, y in zip(heights(choice[i]), heights(choice[j])))
+            for i, j in containing
+        )
+    ]
+    kept.sort(key=lambda f: (-f.norm, tuple(p.steps for p in f.paths)))
+    return kept
+
+
+def assert_families_match_brute_force(gctx):
+    r = gctx.residue
+    nested = 0
+    for lam, mu in gctx.comparable_pairs():
+        dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[r])
+        assert well_nested_families(dt) == brute_force_families(dt), (lam, mu)
+        nested += any(o[0] < i[0] and i[1] < o[1] for i in dt.pairs for o in dt.pairs)
+    return nested
+
+
+def test_well_nested_families_match_brute_force_flotw_family(gctx_flotw_bipartition):
+    base = gctx_flotw_bipartition
+    gctx = build_gamma_set(base.gamma, [0], {0: 2}, base.ctx)
+    assert assert_families_match_brute_force(gctx) > 0
+
+
+def test_well_nested_families_match_brute_force_three_deep(gctx_flotw_bipartition):
+    # four added nodes: the smaller inputs never nest three pairs deep around
+    # a ridge, so checking against the wrong enclosing pair would pass there
+    base = gctx_flotw_bipartition
+    gctx = build_gamma_set(base.gamma, [0], {0: 4}, base.ctx)
+    deep = 0
+    for lam, mu in gctx.comparable_pairs():
+        dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[0])
+        if max((sum(o[0] <= p[0] and p[1] <= o[1] for o in dt.pairs) for p in dt.pairs), default=0) >= 3:
+            deep += 1
+            assert well_nested_families(dt) == brute_force_families(dt), (lam, mu)
+    assert deep > 1000
+
+
+def test_well_nested_families_match_brute_force_random_families():
+    rng = random.Random(41)
+    nested = sum(assert_families_match_brute_force(random_single_residue_context(rng)) for _ in range(40))
+    assert nested > 0
+
+
+def test_well_nested_families_match_brute_force_figure(ctx_level10, decoration_pair, node_decorate):
+    dt = node_decorate(*decoration_pair, 1, ctx_level10)
+    assert dt.pairs == ((4, 5), (6, 9), (3, 10))
+    assert well_nested_families(dt) == brute_force_families(dt)
