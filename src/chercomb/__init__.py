@@ -77,7 +77,7 @@ from .terrain import (
     filled_edges,
     latticed_paths,
     nested_decomposition_number,
-    slot_terrain,
+    slot_word,
     terrain_of,
     well_nested_families,
 )

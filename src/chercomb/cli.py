@@ -216,7 +216,7 @@ def cmd_terrain(args):
     dt = None
     if args.decorate:
         lam = _mp_arg(args.decorate, "decorate")
-        dt = decorate(terr, filled_edges(terr, mu, lam, ctx))
+        dt = decorate(terr.directions(), filled_edges(terr, mu, lam, ctx))
     if args.render == "svg":
         _write(terrain_svg(terr, dt), args)
         return EXIT_OK

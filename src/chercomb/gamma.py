@@ -166,9 +166,11 @@ class GammaContext:
 
     def element_from_positions(self, positions: dict[int, tuple[int, ...]]) -> Multipartition:
         """The member filling exactly the given 1-based slots, residue by
-        residue; a residue of S left out fills none."""
-        lam = self.by_slots.get(tuple(tuple(positions.get(r, ())) for r in self.addable))
-        if lam is None or not positions.keys() <= self.addable.keys():
+        residue; a residue of S left out fills none.  Keys are reduced to
+        residues, and two keys naming one residue fill no member."""
+        reduced = {self.ctx.residue(r): tuple(slots) for r, slots in positions.items()}
+        lam = self.by_slots.get(tuple(reduced.get(r, ()) for r in self.addable))
+        if lam is None or len(reduced) < len(positions) or not reduced.keys() <= self.addable.keys():
             raise NotInGamma(f"slots {positions} fill no member of the index set over {self.gamma}")
         return lam
 

@@ -10,15 +10,17 @@ path per pair is well-nested if inner pairs ride weakly above outer ones.
 The norms of well-nested families are the exponents of the graded
 decomposition number.
 
-Inside a single-residue family the terrain is the member's slot word
-(`slot_terrain`), so the closed-form engine decorates from slot positions;
-`terrain_of` and `filled_edges` serve node-level input from outside a
-family.
+Decoration, paths and families work on the terrain's +-1 word alone.
+Inside a single-residue family that word is the member's slot word
+(`slot_word`), so the closed-form engine never builds a node; `terrain_of`
+and `filled_edges` serve node-level input from outside a family, and
+`Terrain.directions` hands its word on.  Each norm is computed once, when
+its path or family is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .gamma import GammaContext, NotInGamma, addable_nodes, removable_nodes
@@ -45,9 +47,6 @@ class Terrain:
     def directions(self) -> tuple[int, ...]:
         return tuple(1 if s.up else -1 for s in self.steps)
 
-    def __len__(self):
-        return len(self.steps)
-
 
 def terrain_of(mu: Multipartition, residue: int, ctx: ParamContext) -> Terrain:
     r = ctx.residue(residue)
@@ -57,24 +56,31 @@ def terrain_of(mu: Multipartition, residue: int, ctx: ParamContext) -> Terrain:
     return Terrain(r, tuple(entries))
 
 
-def slot_terrain(mu: Multipartition, gctx: GammaContext) -> Terrain:
-    """The terrain of a member of a single-residue family, read off its
-    slot word: up where mu fills one of gamma's addable nodes of the
-    residue, down where it leaves it empty."""
+def slot_word(mu: Multipartition, gctx: GammaContext) -> tuple[int, ...]:
+    """The terrain of a member of a single-residue family as a word over
+    gamma's addable nodes of the residue: +1 (up) where mu fills the slot,
+    -1 (down) where it leaves it empty."""
     r = gctx.residue
-    filled = gctx.added_positions(mu)[r]
-    return Terrain(
-        r,
-        tuple(TerrainStep(j in filled, node) for j, node in enumerate(gctx.addable[r], start=1)),
-    )
+    word = [-1] * len(gctx.addable[r])
+    for j in gctx.added_positions(mu)[r]:
+        word[j - 1] = 1
+    return tuple(word)
 
 
 @dataclass(frozen=True)
 class DecoratedTerrain:
-    terrain: Terrain
-    opens: tuple[int, ...]  # 1-based edge indices carrying '('
-    closes: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]  # (open edge, close edge), nested
+    steps: tuple[int, ...]  # the terrain's word: +1 up, -1 down
+    pairs: tuple[tuple[int, int], ...]  # (open edge, close edge), 1-based, as they close
+
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """The edges carrying '(', ascending."""
+        return tuple(sorted(lo for lo, _ in self.pairs))
+
+    @property
+    def closes(self) -> tuple[int, ...]:
+        """The edges carrying ')', in pair order, which is ascending."""
+        return tuple(hi for _, hi in self.pairs)
 
 
 def filled_edges(terrain: Terrain, mu, lam, ctx: ParamContext) -> frozenset[int]:
@@ -103,22 +109,20 @@ def filled_edges(terrain: Terrain, mu, lam, ctx: ParamContext) -> frozenset[int]
     return frozenset(j for j, step in enumerate(terrain.steps, start=1) if lam.contains(step.node))
 
 
-def decorate(terrain: Terrain, filled) -> DecoratedTerrain:
-    """Decorate a terrain with the edges filled by a more dominant weight.
+def decorate(steps, filled) -> DecoratedTerrain:
+    """Decorate a terrain's +-1 word with the edges filled by a more
+    dominant weight.
 
     `filled` holds the 1-based edges whose node the target contains.  Opens
     sit on filled down-steps (nodes the target adds), closes on unfilled
     up-steps (nodes it removes); stack matching must succeed, which is
     exactly the requirement that the target dominates the terrain's weight.
     """
-    opens, closes, pairs = [], [], []
-    stack = []
-    for j, step in enumerate(terrain.steps, start=1):
-        if not step.up and j in filled:
-            opens.append(j)
+    pairs, stack = [], []
+    for j, step in enumerate(steps, start=1):
+        if step < 0 and j in filled:
             stack.append(j)
-        elif step.up and j not in filled:
-            closes.append(j)
+        elif step > 0 and j not in filled:
             if not stack:
                 raise UnbalancedDecoration(
                     f"close at edge {j} has no matching open: mu is not below lam"
@@ -126,7 +130,7 @@ def decorate(terrain: Terrain, filled) -> DecoratedTerrain:
             pairs.append((stack.pop(), j))
     if stack:
         raise UnbalancedDecoration(f"opens at edges {stack} never close")
-    return DecoratedTerrain(terrain, tuple(opens), tuple(closes), tuple(pairs))
+    return DecoratedTerrain(tuple(steps), tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -139,11 +143,11 @@ class LatticedPath:
 
     pair: tuple[int, int]
     steps: tuple[int, ...]
+    norm: int = field(init=False)
 
-    @property
-    def norm(self) -> int:
+    def __post_init__(self):
         lo, hi = self.pair
-        return 1 + sum(1 for j in range(lo, hi - 1) if self.steps[j] != 0)
+        object.__setattr__(self, "norm", 1 + sum(1 for s in self.steps[lo : hi - 1] if s))
 
 
 def prefix_heights(steps) -> tuple[int, ...]:
@@ -160,7 +164,7 @@ def latticed_paths(dt: DecoratedTerrain, pair) -> list[LatticedPath]:
     if tuple(pair) not in set(dt.pairs):
         raise ValueError(f"{pair} is not a pair of the decoration")
     lo, hi = pair
-    generic = dt.terrain.directions()
+    generic = dt.steps
     seen = {generic}
     queue = [generic]
     while queue:
@@ -186,10 +190,10 @@ def latticed_paths(dt: DecoratedTerrain, pair) -> list[LatticedPath]:
 @dataclass(frozen=True)
 class WellNestedFamily:
     paths: tuple[LatticedPath, ...]  # aligned with the decoration's pairs
+    norm: int = field(init=False)
 
-    @property
-    def norm(self) -> int:
-        return sum(p.norm for p in self.paths)
+    def __post_init__(self):
+        object.__setattr__(self, "norm", sum(p.norm for p in self.paths))
 
 
 def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
@@ -219,13 +223,6 @@ def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
     return families
 
 
-def raw_family_count(dt: DecoratedTerrain) -> int:
-    count = 1
-    for p in dt.pairs:
-        count *= len(latticed_paths(dt, p))
-    return count
-
-
 class NestedResult(NamedTuple):
     value: LaurentPoly
     valid_any_field: bool
@@ -233,10 +230,9 @@ class NestedResult(NamedTuple):
 
 def field_validity(gctx: GammaContext) -> bool:
     """The closed formula holds over every field when the working residue
-    appears at most once in the multicharge; otherwise it is guaranteed
-    over the complex numbers only."""
-    r = gctx.residue
-    return sum(1 for k in gctx.ctx.multicharge if k == r) <= 1
+    appears at most once in the multicharge, or when nothing is added;
+    otherwise it is guaranteed over the complex numbers only."""
+    return not gctx.multiset or gctx.ctx.multicharge.count(gctx.residue) <= 1
 
 
 def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
@@ -246,12 +242,11 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
         raise NotInGamma("the closed formula needs a single-residue context")
     if lam == mu:
         gctx.require(lam)
-        # with nothing added the family is just the base
-        return NestedResult(LaurentPoly.one(), not gctx.multiset or field_validity(gctx))
+        return NestedResult(LaurentPoly.one(), field_validity(gctx))
     # leq reads lam's positions, then mu's: a non-member raises NotInGamma, lam first
     if not gctx.leq(mu, lam):
         return NestedResult(LaurentPoly.zero(), field_validity(gctx))
-    dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[gctx.residue])
+    dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[gctx.residue])
     coeffs: dict[int, int] = {}
     for fam in well_nested_families(dt):
         coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1

@@ -35,6 +35,26 @@ def flotw2_file(tmp_path):
     return str(path)
 
 
+# Criterion 8's pair: two e=5 level-one bases, two 0-nodes added, whose χ
+# sequences rewrite into each other by rules ii and v.
+CHI_PAIR_GAMMAS = (
+    [30] * 6 + [28, 20, 19, 19, 15, 11, 9, 7] + [3] * 6,
+    [10] * 4 + [9] + [5] * 4 + [3] * 3 + [1] * 8,
+)
+
+
+@pytest.fixture
+def chi_pair_files(tmp_path):
+    """Criterion 8's pair as two context files."""
+    paths = []
+    for name, gamma in zip("ab", CHI_PAIR_GAMMAS):
+        path = tmp_path / f"{name}.json"
+        doc = {"e": 5, "multicharge": [0], "theta": ["0"], "g": "1", "gamma": [gamma]}
+        path.write_text(json.dumps({**doc, "residues": [0], "multiset": {"0": 2}}))
+        paths.append(str(path))
+    return paths
+
+
 @pytest.fixture(scope="session")
 def ctx_e5():
     return ParamContext(5, [0], ["0"], "1")
@@ -99,6 +119,6 @@ def node_decorate():
 
     def run(mu, lam, residue, ctx):
         terrain = terrain_of(mu, residue, ctx)
-        return decorate(terrain, filled_edges(terrain, mu, lam, ctx))
+        return decorate(terrain.directions(), filled_edges(terrain, mu, lam, ctx))
 
     return run

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,18 @@ def test_decomp_pair_and_matrix(capsys, hook_file):
     assert json.loads(out_both)["entries"] == entries
 
 
+@pytest.mark.parametrize("engine", ["nested", "kn", "both"])
+def test_decomp_empty_family_valid_any_field(capsys, tmp_path, engine):
+    # nothing added: the family is the base alone, valid over every field
+    path = tmp_path / "hook0.json"
+    path.write_text(json.dumps({**HOOK_CONTEXT, "multiset": {"0": 0}}))
+    base = "[[5,1,1,1,1]]"
+    code, out = run(capsys, "decomp", str(path), "--pair", base, base, "--engine", engine)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pretty"] == "1" and payload["valid_any_field"] is True
+
+
 def test_decomp_latex_format(capsys, hook_file):
     code, out = run(
         capsys,
@@ -171,6 +184,27 @@ def test_terrain_ascii(capsys, tmp_path):
     assert payload["pairs"] == [[4, 5], [6, 9], [3, 10]]
 
 
+# SHA-256 of `terrain` on criterion 4's decoration pair at residue 1, in
+# each output form: decoration, latticed paths and rendering keep these bytes.
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "1e4d96497804820b50f989d54fca2a5cb05fb2761309e40ed80a8ea5fc8601c2"),
+        (["--render", "ascii", "--paths"], "9146d4ede0754df760d1a7a7469a8eb8c71735c5f2d35635c2fc555f6a2cd3be"),
+        (["--render", "svg", "--paths"], "0a1a344de011ef0090f8bbfe6b2c9930e395b8ca384758be0624778fc2308591"),
+    ],
+    ids=["json", "ascii", "svg"],
+)
+def test_terrain_decoration_golden(capsys, tmp_path, extra, digest):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(DECORATION_CONTEXT))
+    mu = "[[1],[1],[],[],[1],[],[1],[],[1],[1]]"
+    lam = "[[1],[1],[1],[1],[],[1],[1],[],[],[]]"
+    code, out = run(capsys, "terrain", str(path), mu, "--decorate", lam, "--residue", "1", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_terrain_svg(capsys, tmp_path):
     path = tmp_path / "dec.json"
     path.write_text(json.dumps(DECORATION_CONTEXT))
@@ -179,36 +213,9 @@ def test_terrain_svg(capsys, tmp_path):
     assert code == 0 and out.startswith("<svg") and "polyline" in out
 
 
-def test_chi_compare(capsys, tmp_path):
-    first = tmp_path / "a.json"
-    first.write_text(
-        json.dumps(
-            {
-                "e": 5,
-                "multicharge": [0],
-                "theta": ["0"],
-                "g": "1",
-                "gamma": [[30] * 6 + [28, 20, 19, 19, 15, 11, 9, 7] + [3] * 6],
-                "residues": [0],
-                "multiset": {"0": 2},
-            }
-        )
-    )
-    second = tmp_path / "b.json"
-    second.write_text(
-        json.dumps(
-            {
-                "e": 5,
-                "multicharge": [0],
-                "theta": ["0"],
-                "g": "1",
-                "gamma": [[10] * 4 + [9] + [5] * 4 + [3] * 3 + [1] * 8],
-                "residues": [0],
-                "multiset": {"0": 2},
-            }
-        )
-    )
-    code, out = run(capsys, "chi", str(first), "--compare", str(second))
+def test_chi_compare(capsys, chi_pair_files):
+    first, second = chi_pair_files
+    code, out = run(capsys, "chi", first, "--compare", second)
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "equivalent"

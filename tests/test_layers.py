@@ -55,19 +55,23 @@ print(json.dumps({"code": code, "metrics": tracer.metrics()}))
 # nontrivial dominance interval between them.
 PAIR = ["[[8,6,3,1,1],[5,5,4,2,2,1,1]]", "[[7,5,3,1,1],[5,5,5,3,2,1,1]]"]
 
-# workload -> the command line it runs, FLOTW2 standing for the context file
+# workload -> the command line it runs, FLOTW2, CHI_A and CHI_B standing for
+# context files; chi_search calls chi_equivalent directly, and `chi --compare`
+# on criterion 8's pair reaches the same layers
 WORKLOAD_ARGV = {
     "nested_matrix": ["decomp", "FLOTW2", "--matrix", "--engine", "nested"],
     "flotw_pair": ["decomp", "FLOTW2", "--pair", *PAIR, "--engine", "both"],
     "selfcheck": ["selfcheck", "--count", "5"],
+    "chi_search": ["chi", "CHI_A", "--compare", "CHI_B"],
 }
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_ARGV))
-def test_cli_workload_coverage(workload, tmp_path, flotw2_file):
-    """The command behind each CLI workload, traced, calls every layer the
+def test_cli_workload_coverage(workload, tmp_path, flotw2_file, chi_pair_files):
+    """The command behind each workload, traced, calls every layer the
     workload requires."""
-    argv = [flotw2_file if a == "FLOTW2" else a for a in WORKLOAD_ARGV[workload]]
+    files = {"FLOTW2": flotw2_file, "CHI_A": chi_pair_files[0], "CHI_B": chi_pair_files[1]}
+    argv = [files.get(a, a) for a in WORKLOAD_ARGV[workload]]
     argv += ["--out", str(tmp_path / "out.json")]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", TRACE, str(ROOT / "perfbench"), str(ROOT / "src"),

@@ -248,14 +248,30 @@ def test_stored_slots_random_families(seed):
 
 @pytest.mark.parametrize(
     "slots",
-    [{0: (1,)}, {0: (1, 1)}, {0: (9,)}, {0: (1, 2), 7: (1,)}],
-    ids=["short", "repeated", "slot-9", "residue-outside-S"],
+    [
+        {0: (1,)},
+        {0: (1, 1)},
+        {0: (9,)},
+        {0: (1, 2), 7: (1,)},
+        {0: (1,), 5: (2,)},
+        {0: (1, 2), 5: (1, 2)},
+    ],
+    ids=["short", "repeated", "slot-9", "residue-outside-S", "split-residue", "doubled-residue"],
 )
 def test_element_from_positions_rejects_non_members(ctx_e5, slots):
     # the hook family with two 0-nodes added: three slots, three members
     gctx = build_gamma_set(mp([5, 1, 1, 1, 1]), [0], {0: 2}, ctx_e5)
     with pytest.raises(NotInGamma, match=re.escape(str(slots))):
         gctx.element_from_positions(slots)
+
+
+def test_element_from_positions_reduces_residue_keys(ctx_e5):
+    # at e = 5 the key 5 names residue 0, as it does for added_nodes
+    gctx = build_gamma_set(mp([5, 1, 1, 1, 1]), [0], {0: 2}, ctx_e5)
+    lam = gctx.element_from_positions({0: (1, 2)})
+    assert gctx.element_from_positions({5: (1, 2)}) == lam
+    assert gctx.element_from_positions({-5: (1, 2)}) == lam
+    assert gctx.added_nodes(lam, 5) == gctx.added_nodes(lam, 0)
 
 
 def brute_force_covers(gctx):

@@ -1,5 +1,6 @@
 import random
 from itertools import accumulate, product
+from math import prod
 
 import pytest
 
@@ -13,12 +14,11 @@ from chercomb import (
     latticed_paths,
     mp,
     nested_decomposition_number,
-    slot_terrain,
+    slot_word,
     terrain_of,
     well_nested_families,
 )
 from chercomb.selfcheck import random_single_residue_context
-from chercomb.terrain import WellNestedFamily, raw_family_count
 
 
 def directions(terrain):
@@ -69,7 +69,7 @@ def test_latticed_paths_figure(ctx_level10, decoration_pair, node_decorate):
 def test_well_nested_families_figure(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
     dt = node_decorate(mu, lam, 1, ctx_level10)
-    assert raw_family_count(dt) == 8
+    assert prod(len(latticed_paths(dt, p)) for p in dt.pairs) == 8
     fams = well_nested_families(dt)
     assert len(fams) == 6
     coeffs = {}
@@ -149,7 +149,7 @@ def test_field_validity_flag(gctx_hook, gctx_flotw_bipartition):
 def test_paths_match_generic_outside_pair(ctx_level10, decoration_pair, node_decorate):
     mu, lam = decoration_pair
     dt = node_decorate(mu, lam, 1, ctx_level10)
-    generic = dt.terrain.directions()
+    generic = dt.steps
     for pair in dt.pairs:
         lo, hi = pair
         for path in latticed_paths(dt, pair):
@@ -177,12 +177,12 @@ def assert_slot_decoration_matches(gctx, node_decorate):
     r = gctx.residue
     pairs = gctx.comparable_pairs()
     for lam, mu in pairs:
-        by_slots = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[r])
+        by_slots = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[r])
         by_nodes = node_decorate(mu, lam, r, gctx.ctx)
         assert by_slots == by_nodes, (lam, mu)
         if lam != mu:
             with pytest.raises(UnbalancedDecoration):
-                decorate(slot_terrain(lam, gctx), gctx.added_positions(mu)[r])
+                decorate(slot_word(lam, gctx), gctx.added_positions(mu)[r])
             with pytest.raises(UnbalancedDecoration):
                 node_decorate(lam, mu, r, gctx.ctx)
     return len(pairs)
@@ -202,9 +202,17 @@ def test_slot_decoration_matches_coordinates_on_random_families(seed, node_decor
         assert_slot_decoration_matches(random_single_residue_context(rng), node_decorate)
 
 
+def path_norm(path):
+    """1 plus the nonzero steps on the edges strictly inside the path's
+    pair, read off its steps."""
+    lo, hi = path.pair
+    return 1 + sum(1 for edge in range(lo + 1, hi) if path.steps[edge - 1] != 0)
+
+
 def brute_force_families(dt):
     """Every choice of one latticed path per pair, kept when each path rides
-    weakly above the path of every pair strictly containing its own."""
+    weakly above the path of every pair strictly containing its own, as
+    (norm from the steps, paths) in the engine's order."""
     pairs = dt.pairs
     containing = [
         (i, j)
@@ -217,23 +225,28 @@ def brute_force_families(dt):
         return (0, *accumulate(path.steps))
 
     kept = [
-        WellNestedFamily(choice)
+        (sum(path_norm(p) for p in choice), choice)
         for choice in product(*(latticed_paths(dt, p) for p in pairs))
         if all(
             all(x >= y for x, y in zip(heights(choice[i]), heights(choice[j])))
             for i, j in containing
         )
     ]
-    kept.sort(key=lambda f: (-f.norm, tuple(p.steps for p in f.paths)))
+    kept.sort(key=lambda k: (-k[0], tuple(p.steps for p in k[1])))
     return kept
+
+
+def nested_families(dt):
+    """The engine's well-nested families as (stored norm, paths)."""
+    return [(f.norm, f.paths) for f in well_nested_families(dt)]
 
 
 def assert_families_match_brute_force(gctx):
     r = gctx.residue
     nested = 0
     for lam, mu in gctx.comparable_pairs():
-        dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[r])
-        assert well_nested_families(dt) == brute_force_families(dt), (lam, mu)
+        dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[r])
+        assert nested_families(dt) == brute_force_families(dt), (lam, mu)
         nested += any(o[0] < i[0] and i[1] < o[1] for i in dt.pairs for o in dt.pairs)
     return nested
 
@@ -251,10 +264,10 @@ def test_well_nested_families_match_brute_force_three_deep(gctx_flotw_bipartitio
     gctx = build_gamma_set(base.gamma, [0], {0: 4}, base.ctx)
     deep = 0
     for lam, mu in gctx.comparable_pairs():
-        dt = decorate(slot_terrain(mu, gctx), gctx.added_positions(lam)[0])
+        dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[0])
         if max((sum(o[0] <= p[0] and p[1] <= o[1] for o in dt.pairs) for p in dt.pairs), default=0) >= 3:
             deep += 1
-            assert well_nested_families(dt) == brute_force_families(dt), (lam, mu)
+            assert nested_families(dt) == brute_force_families(dt), (lam, mu)
     assert deep > 1000
 
 
@@ -267,4 +280,32 @@ def test_well_nested_families_match_brute_force_random_families():
 def test_well_nested_families_match_brute_force_figure(ctx_level10, decoration_pair, node_decorate):
     dt = node_decorate(*decoration_pair, 1, ctx_level10)
     assert dt.pairs == ((4, 5), (6, 9), (3, 10))
-    assert well_nested_families(dt) == brute_force_families(dt)
+    assert nested_families(dt) == brute_force_families(dt)
+
+
+def assert_stored_norms(gctx):
+    """Every stored path norm is 1 plus its nonzero steps strictly inside
+    its pair, and every family norm is the sum over its paths.  Returns the
+    number of flattened paths seen."""
+    r = gctx.residue
+    flattened = 0
+    for lam, mu in gctx.comparable_pairs():
+        dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[r])
+        for pair in dt.pairs:
+            for path in latticed_paths(dt, pair):
+                assert path.norm == path_norm(path), (lam, mu, path)
+                flattened += 0 in path.steps
+        for fam in well_nested_families(dt):
+            assert fam.norm == sum(path_norm(p) for p in fam.paths), (lam, mu, fam)
+    return flattened
+
+
+def test_stored_norms_flotw_family(gctx_flotw_bipartition):
+    base = gctx_flotw_bipartition
+    gctx = build_gamma_set(base.gamma, [0], {0: 2}, base.ctx)
+    assert assert_stored_norms(gctx) > 0
+
+
+def test_stored_norms_random_families():
+    rng = random.Random(99)
+    assert sum(assert_stored_norms(random_single_residue_context(rng)) for _ in range(40)) > 0
