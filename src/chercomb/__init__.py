@@ -27,15 +27,13 @@ from .gamma import (
     is_admissible,
     removable_nodes,
 )
-from .laurent import LaurentPoly, PositivityViolation, t_power
+from .laurent import LaurentPoly, PositivityViolation
 from .loadings import (
-    Dominance,
     DuplicateCoordinate,
     Loading,
     dominates,
     loading_of,
     residue_multiset,
-    theta_dominance,
     theta_leq,
 )
 from .params import AdjacencyViolation, ParamContext, ValidationError
@@ -56,7 +54,6 @@ from .tableaux import (
     Tableau,
     delta_character,
     enumerate_sstd,
-    identity_tableau,
     tableau_degree,
 )
 from .tensor import (

@@ -33,7 +33,7 @@ from .peeling import (
     family_entries,
 )
 from .selfcheck import cross_validate
-from .tableaux import delta_character, enumerate_sstd
+from .tableaux import delta_character, enumerate_sstd, tableau_degree
 from .tensor import factor_check, factor_context, psi_multipartition
 from .terrain import UnbalancedDecoration, decorate, filled_edges, latticed_paths, terrain_of
 from .transport import TransportMap
@@ -154,13 +154,14 @@ def cmd_tableaux(args):
     mu = _mp_arg(args.weight, "weight")
     gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
     tabs = enumerate_sstd(lam, mu, ctx, gctx)
+    degrees = [tableau_degree(tab, ctx) for tab in tabs]
     rows = []
-    for tab in tabs:
+    for tab, degree in zip(tabs, degrees):
         moved = {str(a): str(b) for a, b in sorted(tab.mapping.items()) if a != b}
-        rows.append([tab.degree(ctx), json.dumps(moved)])
+        rows.append([degree, json.dumps(moved)])
     payload = {
         "count": len(tabs),
-        "degrees": sorted(t.degree(ctx) for t in tabs),
+        "degrees": sorted(degrees),
         "rows": rows,
         "columns": ["degree", "moved_nodes"],
     }

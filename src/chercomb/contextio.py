@@ -46,9 +46,13 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
         if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
+        elif isinstance(source, os.PathLike):
+            raise ParseError(f"no context file {os.fspath(source)!r}")
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
+            if text is source:
+                raise ParseError(f"no context file {source!r}, nor valid JSON text: {exc}") from exc
             raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("context document must be a JSON object")
@@ -56,6 +60,9 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
     for key in ("e", "multicharge", "theta", "g"):
         if key not in doc:
             raise ParseError(f"{key}: missing required field")
+    for key in ("multicharge", "theta"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key}: expected a list, got {doc[key]!r}")
     ctx = ParamContext(doc["e"], doc["multicharge"], doc["theta"], doc["g"])
 
     eps_display = field_value("epsilon_display", as_fraction, doc.get("epsilon_display", "1/100"))

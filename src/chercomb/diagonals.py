@@ -44,14 +44,6 @@ class IDiagonal:
     def sign(self) -> int:
         return -1 if self.b1 % 2 else 1
 
-    def brick_counts(self) -> dict[str, int]:
-        counts = {f"b{k}": 0 for k in range(1, 7)}
-        counts["b1"] = self.b1
-        if not self.visible:
-            counts["b2" if self.top_kind == TOP_LOWER else "b3"] = 1
-        counts[f"b{self.side}"] = 1
-        return counts
-
 
 def i_diagonals(gamma: Multipartition, residue: int, ctx: ParamContext) -> list[IDiagonal]:
     """All diagonals of the given residue meeting the diagram or its addable

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .loadings import loading_of, residue_multiset
-from .params import AdjacencyViolation, ParamContext
+from .loadings import dominates, loading_of, residue_multiset
+from .params import ParamContext
 from .partitions import Multipartition, Node, exact_int
 
 
@@ -123,12 +123,6 @@ class GammaContext:
             raise NotInGamma(f"{lam} is not in the index set over {self.gamma}")
         return positions
 
-    def added_nodes(self, lam: Multipartition, residue) -> list[Node]:
-        """lam's added nodes of one residue, in coordinate order."""
-        r = self.ctx.residue(residue)
-        slots = self.addable[r]
-        return [slots[i - 1] for i in self.added_positions(lam)[r]]
-
     def leq(self, mu: Multipartition, lam: Multipartition) -> bool:
         """mu <= lam in dominance, tested on added positions.
 
@@ -220,12 +214,6 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
     return GammaContext(gamma, residue_set, multiset, ctx, addable, positions)
 
 
-def admissible_core(lam: Multipartition, mu: Multipartition, residues, ctx: ParamContext):
-    """The common base under lam and mu: their meet with all removable
-    S-nodes stripped, iterated to a fixed point."""
-    return strip_residues(lam.meet(mu), ctx.check_adjacency_free(residues), ctx)
-
-
 def strip_residues(lam: Multipartition, residues, ctx: ParamContext) -> Multipartition:
     """lam with removable nodes of the given residues taken off, the
     coordinate-first one each time, until none is left."""
@@ -237,9 +225,10 @@ def strip_residues(lam: Multipartition, residues, ctx: ParamContext) -> Multipar
 
 
 def gamma_context_for_pair(lam, mu, residue, ctx: ParamContext) -> GammaContext:
-    """Build the smallest admissible single-residue context containing both."""
+    """Build the smallest admissible single-residue context containing both:
+    its base is their meet with removable nodes of the residue stripped."""
     r = ctx.residue(residue)
-    core = admissible_core(lam, mu, [r], ctx)
+    core = strip_residues(lam.meet(mu), [r], ctx)
     m = lam.size - core.size
     if mu.size != lam.size:
         raise NotInGamma(f"sizes differ: {lam.size} vs {mu.size}")
@@ -260,8 +249,6 @@ def saturation_check(gctx: GammaContext) -> bool:
     n = gctx.top.size
     top_loading = loading_of(gctx.top, ctx)
     bottom_loading = loading_of(gctx.bottom, ctx)
-    from .loadings import dominates
-
     for cand in _all_multipartitions(n, gctx.gamma.level):
         if residue_multiset(cand, ctx) != content:
             continue

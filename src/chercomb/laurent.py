@@ -157,10 +157,6 @@ class LaurentPoly:
         """JSON-friendly form: exponent (as string) -> coefficient, ascending."""
         return {str(e): self.coeffs[e] for e in self.exponents()}
 
-    @staticmethod
-    def from_dict(data) -> "LaurentPoly":
-        return LaurentPoly({int(e): int(c) for e, c in data.items()})
-
     def to_latex(self) -> str:
         if not self.coeffs:
             return "0"
@@ -176,7 +172,3 @@ class LaurentPoly:
             sign = "-" if c < 0 else ("+" if parts else "")
             parts.append(sign + body)
         return "".join(parts)
-
-
-def t_power(exp: int) -> LaurentPoly:
-    return LaurentPoly.monomial(exp)

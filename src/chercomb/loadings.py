@@ -8,8 +8,6 @@ the left.  Further left is more dominant.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .coords import ExactCoord
 from .params import ParamContext
 from .partitions import Multipartition, Node
@@ -36,9 +34,6 @@ class Loading:
         for c, r in self.points:
             by_res.setdefault(r, []).append(c)
         self._by_residue = by_res
-
-    def __len__(self):
-        return len(self.points)
 
     def coords(self) -> list[ExactCoord]:
         return [c for c, _ in self.points]
@@ -94,26 +89,6 @@ def dominates(a: Loading, b: Loading) -> bool:
             if ca[j] > x:
                 return False
     return True
-
-
-class Dominance(Enum):
-    GREATER = "greater"
-    LESS = "less"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def theta_dominance(lam: Multipartition, mu: Multipartition, ctx: ParamContext) -> Dominance:
-    la, lb = loading_of(lam, ctx), loading_of(mu, ctx)
-    ab = dominates(la, lb)
-    ba = dominates(lb, la)
-    if ab and ba:
-        return Dominance.EQUAL
-    if ab:
-        return Dominance.GREATER
-    if ba:
-        return Dominance.LESS
-    return Dominance.INCOMPARABLE
 
 
 def theta_leq(mu: Multipartition, lam: Multipartition, ctx: ParamContext) -> bool:

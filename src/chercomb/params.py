@@ -97,10 +97,6 @@ class ParamContext:
 
     # -- residue arithmetic --------------------------------------------------
 
-    @property
-    def finite(self) -> bool:
-        return self.e is not None
-
     def residue(self, value: int) -> int:
         return value % self.e if self.e is not None else value
 

@@ -20,9 +20,9 @@ class Node(NamedTuple):
 
 
 def exact_int(value) -> int:
-    """int(value), refusing a number with a fractional part rather than
-    truncating it."""
-    if not isinstance(value, str) and value % 1:
+    """int(value), refusing a boolean, and a number with a fractional part
+    rather than truncating it."""
+    if isinstance(value, bool) or (not isinstance(value, str) and value % 1):
         raise ValueError(f"expected an integer, got {value}")
     return int(value)
 
@@ -154,16 +154,6 @@ class Multipartition:
             if not other.contains(node):
                 out.append(node)
         return out
-
-    def contains_diagram(self, other: "Multipartition") -> bool:
-        if self.level != other.level:
-            return False
-        for a, b in zip(self.comps, other.comps):
-            if len(b) > len(a):
-                return False
-            if any(x < y for x, y in zip(a, b)):
-                return False
-        return True
 
 
 def empty_multipartition(level: int) -> Multipartition:

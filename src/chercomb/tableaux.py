@@ -25,26 +25,26 @@ to it, and two vertical strands, which never cross, are never compared.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from collections import Counter
+from itertools import product
 
 from .gamma import GammaContext
 from .laurent import LaurentPoly
 from .loadings import loading_of, residue_multiset
 from .params import ParamContext
-from .partitions import Multipartition, Node
+from .partitions import Node
 
 
 class Tableau:
     """A residue-preserving bijection from nodes of the shape to nodes of
     the weight, stored node-to-node via loading provenance."""
 
-    __slots__ = ("shape", "weight", "mapping", "_degree")
+    __slots__ = ("shape", "weight", "mapping")
 
-    def __init__(self, shape, weight, mapping, degree=None):
+    def __init__(self, shape, weight, mapping):
         self.shape = shape
         self.weight = weight
         self.mapping = mapping
-        self._degree = degree
 
     def __eq__(self, other):
         return (
@@ -62,12 +62,7 @@ class Tableau:
         return f"Tableau({self.shape} -> {self.weight}, moved={moved})"
 
     def degree(self, ctx: ParamContext) -> int:
-        if self._degree is None:
-            self._degree = tableau_degree(self, ctx)
-        return self._degree
-
-    def entry_coord(self, node: Node, ctx: ParamContext):
-        return ctx.node_coord(self.mapping[node])
+        return tableau_degree(self, ctx)
 
     def is_residue_preserving(self, ctx: ParamContext) -> bool:
         return all(
@@ -78,24 +73,15 @@ class Tableau:
         """Direct check of the three defining inequalities."""
         g = ctx.g
         for node in self.shape.nodes():
-            v = self.entry_coord(node, ctx)
+            v = ctx.node_coord(self.mapping[node])
             r, c, k = node
             if r == 1 and c == 1 and not v > ctx.red_line(k):
                 return False
-            if r > 1:
-                up = self.entry_coord(Node(r - 1, c, k), ctx)
-                if not v > up.shift(g):
-                    return False
-            if c > 1:
-                left = self.entry_coord(Node(r, c - 1, k), ctx)
-                if not v > left.shift(-g):
-                    return False
+            if r > 1 and not v > ctx.node_coord(self.mapping[Node(r - 1, c, k)]).shift(g):
+                return False
+            if c > 1 and not v > ctx.node_coord(self.mapping[Node(r, c - 1, k)]).shift(-g):
+                return False
         return True
-
-
-def identity_tableau(lam: Multipartition) -> Tableau:
-    mapping = {node: node for node in lam.nodes()}
-    return Tableau(lam, lam, mapping, degree=0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +181,24 @@ def iter_index_bijections(sources, targets):
 
 def pinned_tableau(lam, mu, gctx: GammaContext, moves) -> Tableau:
     """The base-pinned tableau of shape lam and weight mu: gamma's nodes
-    stay in place and each (node, target) move sends an added node of lam
-    to one of mu."""
+    stay in place and, per residue r, each 1-based slot move (s, t) in
+    moves[r] sends lam's added node in slot s to mu's in slot t."""
     mapping = {node: node for node in gctx.gamma.nodes()}
-    mapping.update(moves)
+    for r, pairs in moves.items():
+        slots = gctx.addable[r]
+        for s, t in pairs:
+            mapping[slots[s - 1]] = slots[t - 1]
     return Tableau(lam, mu, mapping)
+
+
+def slot_moves(tab: Tableau, gctx: GammaContext) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Inverse of pinned_tableau: per residue of S, the slot move of each
+    filled slot of the shape, in slot order."""
+    moves = {}
+    for r, filled in gctx.added_positions(tab.shape).items():
+        slots = gctx.addable[r]
+        moves[r] = tuple((s, slots.index(tab.mapping[slots[s - 1]]) + 1) for s in filled)
+    return moves
 
 
 def _enumerate_restricted(lam, mu, gctx: GammaContext):
@@ -207,19 +206,9 @@ def _enumerate_restricted(lam, mu, gctx: GammaContext):
     mu's, each target weakly right; residues combine independently."""
     src = gctx.added_positions(lam)
     dst = gctx.added_positions(mu)
-    per_residue = []
-    for r in sorted(r for r in src if src[r]):
-        slots = gctx.addable[r]
-        per_residue.append(
-            [
-                [(slots[s - 1], slots[t - 1]) for s, t in pairs]
-                for pairs in iter_index_bijections(src[r], dst[r])
-            ]
-        )
-    return [
-        pinned_tableau(lam, mu, gctx, chain.from_iterable(moves))
-        for moves in product(*per_residue)
-    ]
+    active = [r for r in sorted(src) if src[r]]
+    bijections = [iter_index_bijections(src[r], dst[r]) for r in active]
+    return [pinned_tableau(lam, mu, gctx, dict(zip(active, pick))) for pick in product(*bijections)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +261,5 @@ def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
 def delta_character(lam, mu, ctx: ParamContext, gctx: GammaContext | None = None) -> LaurentPoly:
     """Graded dimension of the mu-weight space of the standard module of lam:
     the sum of t^deg(T) over semistandard tableaux."""
-    coeffs: dict[int, int] = {}
-    for tab in enumerate_sstd(lam, mu, ctx, gctx):
-        d = tab.degree(ctx)
-        coeffs[d] = coeffs.get(d, 0) + 1
-    return LaurentPoly(coeffs)
+    tabs = enumerate_sstd(lam, mu, ctx, gctx)
+    return LaurentPoly(Counter(tableau_degree(tab, ctx) for tab in tabs))

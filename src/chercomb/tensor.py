@@ -16,7 +16,7 @@ from .gamma import GammaContext, build_gamma_set
 from .laurent import LaurentPoly
 from .partitions import Multipartition
 from .peeling import gamma_peel_matrix
-from .tableaux import Tableau, enumerate_sstd, pinned_tableau
+from .tableaux import Tableau, enumerate_sstd, pinned_tableau, slot_moves, tableau_degree
 
 
 @dataclass
@@ -53,18 +53,14 @@ def psi_inverse(parts: dict[int, Multipartition], fctx: FactoredContext) -> Mult
 
 
 def psi_tableau(tab: Tableau, fctx: FactoredContext) -> dict[int, Tableau]:
-    """Restrict a base-pinned tableau to each residue factor."""
+    """Restrict a base-pinned tableau to each residue factor: the factor
+    makes the same slot moves of its residue in the child family."""
     parts_shape = psi_multipartition(tab.shape, fctx)
     parts_weight = psi_multipartition(tab.weight, fctx)
-    gctx = fctx.parent
+    moves = slot_moves(tab, fctx.parent)
     return {
-        r: pinned_tableau(
-            parts_shape[r],
-            parts_weight[r],
-            gctx,
-            [(node, tab.mapping[node]) for node in gctx.added_nodes(tab.shape, r)],
-        )
-        for r in fctx.active_residues
+        r: pinned_tableau(parts_shape[r], parts_weight[r], child, {r: moves[r]})
+        for r, child in sorted(fctx.children.items())
     }
 
 
@@ -108,15 +104,14 @@ def factor_check(fctx: FactoredContext) -> FactorReport:
                 )
             for tab in tabs:
                 tableaux += 1
-                factors = psi_tableau(tab, fctx)
-                total = sum(factors[r].degree(ctx) for r in fctx.active_residues)
-                if total != tab.degree(ctx):
+                total = sum(tableau_degree(part, ctx) for part in psi_tableau(tab, fctx).values())
+                degree = tableau_degree(tab, ctx)
+                if total != degree:
                     return FactorReport(
                         False,
                         pairs,
                         tableaux,
-                        f"degree additivity fails at ({lam}, {mu}): "
-                        f"{tab.degree(ctx)} != {total}",
+                        f"degree additivity fails at ({lam}, {mu}): {degree} != {total}",
                     )
 
     # decomposition-matrix factorization

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .gamma import GammaContext, NotInGamma
 from .partitions import Multipartition
-from .tableaux import Tableau, pinned_tableau
+from .tableaux import Tableau, pinned_tableau, slot_moves
 
 
 class NotComparable(ValueError):
@@ -44,16 +44,13 @@ def component_word(tab: Tableau, gctx: GammaContext) -> tuple[int, ...]:
 
     A base-pinned tableau is uniquely determined by this word.
     """
-    slots = gctx.addable[gctx.residue]
-    return tuple(slots.index(tab.mapping[slots[s - 1]]) + 1 for s in sigma_indices(tab.shape, gctx))
+    return tuple(t for _, t in slot_moves(tab, gctx)[gctx.residue])
 
 
 def tableau_from_word(lam, mu, word, gctx: GammaContext) -> Tableau:
-    slots = gctx.addable[gctx.residue]
-    moves = [(slots[s - 1], slots[t - 1]) for s, t in zip(sigma_indices(lam, gctx), word)]
     if sorted(word) != list(sigma_indices(mu, gctx)):
         raise NotInGamma(f"word {word} does not fill the added slots of {mu}")
-    return pinned_tableau(lam, mu, gctx, moves)
+    return pinned_tableau(lam, mu, gctx, {gctx.residue: zip(sigma_indices(lam, gctx), word)})
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,21 @@ def test_parse_context_minimal(hook_file):
     assert ctx.e == 5 and gctx is not None and len(gctx) == 3
 
 
+def test_missing_context_file_is_named(capsys, tmp_path):
+    missing = str(tmp_path / "no_such_file.json")
+    code, out = run(capsys, "validate", missing)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert missing in detail and "no context file" in detail
+    with pytest.raises(ParseError, match="no context file"):
+        parse_context(tmp_path / "no_such_file.json")
+    # an existing file with bad JSON is still reported as bad JSON
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out = run(capsys, "validate", str(bad))
+    assert code == 1 and json.loads(out)["detail"].startswith("not valid JSON")
+
+
 def test_parse_context_rejects_bad_inputs():
     with pytest.raises(Exception):
         parse_context({"e": 2, "multicharge": [0], "theta": ["0"], "g": "1"})
@@ -244,25 +259,53 @@ def test_transport_command(capsys, tmp_path, hook_file):
     assert json.loads(out)["target"] == [[1], [2, 1], []]
 
 
+# The gctx_runner and gctx_admissible_pair fixtures as context documents.
+RUNNER_CONTEXT = {
+    "e": 4,
+    "multicharge": [3, 1, 3, 3, 3, 1, 3],
+    "theta": ["-3", "-1", "1", "3", "5", "9", "11"],
+    "g": "0.99",
+    "gamma": [[], [], [], [], [], [], []],
+    "residues": [1, 3],
+    "multiset": {"1": 1, "3": 3},
+}
+PAIR_CONTEXT = {**RUNNER_CONTEXT, "multicharge": [0, 3], "theta": ["0", "7"]}
+PAIR_CONTEXT["gamma"] = [[3, 2, 1, 1, 1], [4, 2, 2, 1]]
+
+
+def md5(text):
+    return hashlib.md5(text.encode()).hexdigest()
+
+
 def test_tensor_factor_command(capsys, tmp_path):
     path = tmp_path / "runner.json"
-    path.write_text(
-        json.dumps(
-            {
-                "e": 4,
-                "multicharge": [3, 1, 3, 3, 3, 1, 3],
-                "theta": ["-3", "-1", "1", "3", "5", "9", "11"],
-                "g": "0.99",
-                "gamma": [[], [], [], [], [], [], []],
-                "residues": [1, 3],
-                "multiset": {"1": 1, "3": 3},
-            }
-        )
-    )
+    path.write_text(json.dumps(RUNNER_CONTEXT))
     code, out = run(capsys, "tensor-factor", str(path), "--verify")
     assert code == 0
     payload = json.loads(out)
     assert payload["verified"] and payload["family_size"] == 20
+    assert md5(out) == "0ac6da705c7914227309eaaad5a1aad8"
+
+
+# Restricted tableaux and their slot-move splits keep these bytes.
+@pytest.mark.parametrize(
+    "context, argv, digest",
+    [
+        (
+            RUNNER_CONTEXT,
+            ["tableaux", "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]", "--restricted"],
+            "b408ffdbb0a6aa0a3e98f78b03e69410",
+        ),
+        (PAIR_CONTEXT, ["tensor-factor", "--verify"], "312637dc1646c6b2537ce2bdd21ef775"),
+    ],
+    ids=["tableaux-runner", "tensor-factor-pair"],
+)
+def test_slot_move_outputs_golden(capsys, tmp_path, context, argv, digest):
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps(context))
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert md5(out) == digest
 
 
 def _stub_characters(monkeypatch, fake):
@@ -369,6 +412,12 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("multiset", {"0": 1.7}),
         ("residues", "03"),
         ("gamma", [[5.5, 1, 1, 1, 1]]),
+        # strings are not iterated as lists, nor booleans taken as integers
+        ("multicharge", "21"),
+        ("theta", "0"),
+        ("multiset", {"0": True}),
+        ("gamma", [[True, True]]),
+        ("residues", [False]),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):

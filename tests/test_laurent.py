@@ -1,6 +1,6 @@
 import pytest
 
-from chercomb import LaurentPoly, PositivityViolation, t_power
+from chercomb import LaurentPoly, PositivityViolation
 
 
 def poly(d):
@@ -20,7 +20,7 @@ def test_ring_ops():
     assert f - f == LaurentPoly.zero()
     assert f * g == poly({-1: 3, 0: 6})
     assert (-g).coeffs == {-1: -3}
-    assert t_power(5) * t_power(-5) == LaurentPoly.one()
+    assert LaurentPoly.monomial(5) * LaurentPoly.monomial(-5) == LaurentPoly.one()
 
 
 def test_bar_involution():
@@ -62,6 +62,6 @@ def test_bar_split_failure_modes():
 def test_serialization_round_trip():
     f = poly({5: 1, 7: 2, 9: 2, 11: 1})
     assert f.to_sorted_dict() == {"5": 1, "7": 2, "9": 2, "11": 1}
-    assert LaurentPoly.from_dict(f.to_sorted_dict()) == f
+    assert LaurentPoly({int(e): c for e, c in f.to_sorted_dict().items()}) == f
     assert f.to_latex() == "t^{5}+2t^{7}+2t^{9}+t^{11}"
     assert str(poly({-2: 1, 1: -3})) == "t^-2-3*t"

@@ -7,18 +7,17 @@ from chercomb import (
     LaurentPoly,
     delta_character,
     enumerate_sstd,
-    identity_tableau,
     mp,
     tableau_degree,
 )
 from chercomb.partitions import Node
-from chercomb.tableaux import Tableau, iter_index_bijections
+from chercomb.tableaux import Tableau, iter_index_bijections, pinned_tableau, slot_moves
 
 
 def test_identity_tableau_unique(ctx_e5):
     lam = mp([3, 2])
     tabs = enumerate_sstd(lam, lam, ctx_e5)
-    assert tabs == [identity_tableau(lam)]
+    assert tabs == [Tableau(lam, lam, {node: node for node in lam.nodes()})]
     assert tabs[0].degree(ctx_e5) == 0
 
 
@@ -95,6 +94,23 @@ def test_gamma_strands_pinned(gctx_hook, ctx_e5):
     for node in gctx_hook.gamma.nodes():
         assert tab.mapping[node] == node
     assert tab.mapping[Node(1, 6, 1)] == Node(6, 1, 1)
+
+
+@pytest.mark.parametrize("family", ["gctx_admissible_pair", "gctx_runner"])
+def test_slot_moves_round_trip(request, family):
+    # every restricted tableau is rebuilt from its slot moves, and each
+    # residue's moves are one of the rook placements between the slot sets
+    gctx = request.getfixturevalue(family)
+    for lam in gctx.elements:
+        src = gctx.added_positions(lam)
+        for mu in gctx.elements:
+            dst = gctx.added_positions(mu)
+            for tab in enumerate_sstd(lam, mu, gctx.ctx, gctx):
+                moves = slot_moves(tab, gctx)
+                assert pinned_tableau(lam, mu, gctx, moves) == tab
+                assert moves.keys() == gctx.addable.keys()
+                for r, pairs in moves.items():
+                    assert pairs in iter_index_bijections(src[r], dst[r])
 
 
 def brute_force_bijections(sources, targets):

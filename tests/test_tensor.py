@@ -62,7 +62,7 @@ def test_psi_of_base(gctx_runner):
     lam = gctx_runner.elements[0]
     parts = psi_multipartition(lam, fctx)
     for r, part in parts.items():
-        assert part.contains_diagram(gamma)
+        assert part.meet(gamma) == gamma
         assert part.size == gamma.size + gctx_runner.multiset[r]
 
 
