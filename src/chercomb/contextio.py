@@ -46,8 +46,6 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
         if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        elif isinstance(source, os.PathLike):
-            raise ParseError(f"no context file {os.fspath(source)!r}")
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -211,7 +211,9 @@ def assert_slots_match_diagrams(gctx):
         }
         stored = gctx.added_positions(lam)
         assert stored == want and list(stored) == sorted(gctx.residue_set), lam
-        assert sum(map(len, stored.values())) == len(added), lam
+        for r in gctx.residue_set:
+            of_r = [node for node in added if ctx.residue_of(node) == r]
+            assert [gctx.addable[r][i - 1] for i in stored[r]] == sorted(of_r, key=ctx.node_coord), lam
         assert gctx.element_from_positions(stored) is lam
     assert gctx.elements == sorted(gctx.elements, key=lambda lam: full_loading_key(lam, ctx))
 
