@@ -8,7 +8,6 @@ equivalence with slot transport, and adjacency-free tensor factorization.
 from .coords import ExactCoord, as_fraction, coord
 from .diagonals import (
     ChiSymbol,
-    DiagonalModelViolation,
     IDiagonal,
     chi_sequence,
     format_chi,
@@ -67,7 +66,6 @@ from .tensor import (
 from .terrain import (
     DecoratedTerrain,
     LatticedPath,
-    Terrain,
     UnbalancedDecoration,
     WellNestedFamily,
     decorate,

@@ -23,7 +23,7 @@ from .diagonals import chi_sequence, format_chi, i_diagonals
 from .equivalence import chi_equivalent
 from .gamma import NotInGamma
 from .laurent import LaurentPoly, PositivityViolation
-from .params import ValidationError
+from .params import ValidationError, field_value
 from .peeling import (
     ENGINES,
     EngineDisagreement,
@@ -113,8 +113,8 @@ def _need_gamma(gctx, what="this command"):
     return gctx
 
 
-def _mp_arg(text, name):
-    return parse_multipartition(json.loads(text), name)
+def _mp_arg(text, name, ctx):
+    return parse_multipartition(field_value(name, json.loads, text), name, ctx.level)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,8 @@ def cmd_gamma_set(args):
 
 def cmd_tableaux(args):
     ctx, gctx, _ = parse_context(args.context)
-    lam = _mp_arg(args.shape, "shape")
-    mu = _mp_arg(args.weight, "weight")
+    lam = _mp_arg(args.shape, "shape", ctx)
+    mu = _mp_arg(args.weight, "weight", ctx)
     gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
     tabs = enumerate_sstd(lam, mu, ctx, gctx)
     degrees = [tableau_degree(tab, ctx) for tab in tabs]
@@ -171,8 +171,8 @@ def cmd_tableaux(args):
 
 def cmd_delta_char(args):
     ctx, gctx, _ = parse_context(args.context)
-    lam = _mp_arg(args.shape, "shape")
-    mu = _mp_arg(args.weight, "weight")
+    lam = _mp_arg(args.shape, "shape", ctx)
+    mu = _mp_arg(args.weight, "weight", ctx)
     gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
     poly = delta_character(lam, mu, ctx, gctx)
     _emit(_poly_payload(poly), args)
@@ -183,8 +183,8 @@ def cmd_decomp(args):
     ctx, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     if args.pair:
-        lam = _mp_arg(args.pair[0], "shape")
-        mu = _mp_arg(args.pair[1], "weight")
+        lam = _mp_arg(args.pair[0], "--pair", ctx)
+        mu = _mp_arg(args.pair[1], "--pair", ctx)
         result = decomp_number(lam, mu, gctx, engine=args.engine)
         payload = _poly_payload(result.value)
         payload["engine"] = result.engine
@@ -207,34 +207,34 @@ def cmd_decomp(args):
 
 def cmd_terrain(args):
     ctx, gctx, _ = parse_context(args.context)
-    mu = _mp_arg(args.weight, "weight")
+    mu = _mp_arg(args.weight, "weight", ctx)
     if args.residue is not None:
         residue = ctx.residue(args.residue)
     else:
         gctx = _need_gamma(gctx)
         residue = gctx.residue
-    terr = terrain_of(mu, residue, ctx)
+    nodes, word = terrain_of(mu, residue, ctx)
     dt = None
     if args.decorate:
-        lam = _mp_arg(args.decorate, "decorate")
-        dt = decorate(terr.directions(), filled_edges(terr, mu, lam, ctx))
+        lam = _mp_arg(args.decorate, "decorate", ctx)
+        dt = decorate(word, filled_edges(nodes, mu, lam, residue, ctx))
     if args.render == "svg":
-        _write(terrain_svg(terr, dt), args)
+        _write(terrain_svg(word, dt), args)
         return EXIT_OK
     if args.render == "ascii":
-        blocks = [terrain_ascii(terr, dt)]
+        blocks = [terrain_ascii(word, dt)]
         if args.paths and dt is not None:
             for pair in dt.pairs:
                 for p in latticed_paths(dt, pair):
                     blocks.append(f"pair {pair}, norm {p.norm}:")
-                    blocks.append(terrain_ascii(terr, dt, path=p))
+                    blocks.append(terrain_ascii(word, dt, path=p))
         _write("\n".join(blocks), args)
         return EXIT_OK
     payload = {
         "residue": residue,
         "steps": [
-            {"direction": "up" if s.up else "down", "node": list(s.node)}
-            for s in terr.steps
+            {"direction": "up" if s > 0 else "down", "node": list(node)}
+            for s, node in zip(word, nodes)
         ],
     }
     if dt is not None:
@@ -282,7 +282,7 @@ def cmd_transport(args):
     tgctx = _need_gamma(tgctx)
     tmap = TransportMap(gctx, tgctx)
     if args.shape:
-        lam = _mp_arg(args.shape, "shape")
+        lam = _mp_arg(args.shape, "--shape", ctx)
         payload = {
             "source": multipartition_to_json(lam),
             "target": multipartition_to_json(tmap.multipartition(lam)),

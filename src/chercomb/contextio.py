@@ -21,13 +21,18 @@ class ParseError(ValueError):
     pass
 
 
-def parse_multipartition(data, path="multipartition") -> Multipartition:
+def parse_multipartition(data, path, level) -> Multipartition:
+    """The multipartition a JSON value gives, with the given level; a fault
+    raises ParseError naming `path`."""
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise ParseError(f"{path}: expected a list of integer lists")
     try:
-        return Multipartition(data)
+        lam = Multipartition(data)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if lam.level != level:
+        raise ParseError(f"{path}: has {lam.level} components but level is {level}")
+    return lam
 
 
 def multipartition_to_json(lam: Multipartition) -> list[list[int]]:
@@ -67,11 +72,7 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
 
     gctx = None
     if "gamma" in doc:
-        gamma = parse_multipartition(doc["gamma"], "gamma")
-        if gamma.level != ctx.level:
-            raise ParseError(
-                f"gamma: has {gamma.level} components but level is {ctx.level}"
-            )
+        gamma = parse_multipartition(doc["gamma"], "gamma", ctx.level)
         residues = doc.get("residues")
         if residues is None:
             raise ParseError("residues: required when gamma is present")

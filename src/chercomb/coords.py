@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 
 def as_fraction(value) -> Fraction:
-    """Ingest a rational given as Fraction, int, or string ('3/4', '0.99')."""
+    """Ingest a rational given as Fraction, int, or string ('3/4', '0.99');
+    a boolean is refused, not taken as 0 or 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

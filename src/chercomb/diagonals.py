@@ -14,16 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import ExactCoord
-from .gamma import addable_nodes, removable_nodes
+from .gamma import NotAdmissible, addable_nodes, is_admissible
 from .params import ParamContext
 from .partitions import Multipartition, Node
 
 LEFT, RIGHT, CENTRE = 4, 5, 6  # bottom-brick kinds, by side of the red line
 VISIBLE, TOP_LOWER, TOP_UPPER = 0, 2, 3  # top kinds: none, kept lower / upper neighbour
-
-
-class DiagonalModelViolation(ValueError):
-    """The base multipartition has a removable node of the working residue."""
 
 
 @dataclass(frozen=True)
@@ -49,11 +45,8 @@ def i_diagonals(gamma: Multipartition, residue: int, ctx: ParamContext) -> list[
     """All diagonals of the given residue meeting the diagram or its addable
     nodes, in x-order."""
     r = ctx.residue(residue)
-    bad = removable_nodes(gamma, ctx, [r])
-    if bad:
-        raise DiagonalModelViolation(
-            f"{gamma} has removable nodes of residue {r}: {[str(n) for n in bad]}"
-        )
+    if not is_admissible(gamma, [r], ctx):
+        raise NotAdmissible(f"{gamma} has removable nodes of residue {r}")
     addable = addable_nodes(gamma, ctx, [r])
     out = []
     for k in range(1, gamma.level + 1):

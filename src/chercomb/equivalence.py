@@ -193,10 +193,7 @@ def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> Equivalen
     for _ in range(depth):
         if not frontier_f and not frontier_b:
             break
-        for frontier, seen, other, is_fwd in (
-            (frontier_f, fwd, bwd, True),
-            (frontier_b, bwd, fwd, False),
-        ):
+        for frontier, seen, other in ((frontier_f, fwd, bwd), (frontier_b, bwd, fwd)):
             new_frontier = []
             for state in frontier:
                 for nxt, step in neighbours(state, max_len):

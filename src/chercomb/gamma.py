@@ -94,14 +94,13 @@ class GammaContext:
 
     @property
     def single_residue(self) -> bool:
-        return len([r for r, m in self.multiset.items() if m > 0]) <= 1
+        return len(self.multiset) <= 1
 
     @property
     def residue(self) -> int:
-        active = [r for r, m in self.multiset.items() if m > 0]
-        if len(active) != 1:
+        if len(self.multiset) != 1:
             raise ValueError("context is not single-residue")
-        return active[0]
+        return next(iter(self.multiset))
 
     def __len__(self):
         return len(self.elements)
@@ -181,8 +180,10 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
         raise NotAdmissible(
             f"{gamma} has removable nodes of residues {sorted(residue_set)}"
         )
-    counts = {r: exact_int(m) for r, m in multiset.items()}
-    multiset = {ctx.residue(r): m for r, m in counts.items() if m != 0}
+    counts = {ctx.residue(r): exact_int(m) for r, m in multiset.items()}
+    if len(counts) < len(multiset):
+        raise ValueError(f"multiset: keys {sorted(multiset)} name one residue twice")
+    multiset = {r: m for r, m in counts.items() if m != 0}
     for r in multiset:
         if r not in residue_set:
             raise ValueError(f"multiset residue {r} is not in S = {sorted(residue_set)}")

@@ -220,9 +220,5 @@ def decomp_number(lam, mu, gctx: GammaContext, engine: str = "both") -> DecompRe
             f"d[{lam},{mu}]: nested gives {nested.value}, peeling gives {peeled}"
         )
     value = nested.value if nested is not None else peeled
-    flag = None
-    if nested is not None:
-        flag = nested.valid_any_field
-    elif gctx.single_residue:
-        flag = field_validity(gctx)
+    flag = field_validity(gctx) if gctx.single_residue else None
     return DecompResult(value, engine, nested.value if nested else None, peeled, flag)

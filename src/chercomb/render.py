@@ -7,7 +7,7 @@ dotted in SVG).
 
 from __future__ import annotations
 
-from .terrain import DecoratedTerrain, LatticedPath, Terrain, prefix_heights
+from .terrain import DecoratedTerrain, LatticedPath, prefix_heights
 
 
 def _decoration_marks(dt: DecoratedTerrain | None) -> dict[int, str]:
@@ -21,12 +21,12 @@ def _decoration_marks(dt: DecoratedTerrain | None) -> dict[int, str]:
 
 
 def terrain_ascii(
-    terrain: Terrain,
+    word,
     dt: DecoratedTerrain | None = None,
     path: LatticedPath | None = None,
 ) -> str:
     """Draw the walk with '/', '\\', and '_', decorations above the edges."""
-    steps = path.steps if path is not None else terrain.directions()
+    steps = path.steps if path is not None else word
     n = len(steps)
     if n == 0:
         return "(empty terrain)"
@@ -53,16 +53,15 @@ def terrain_ascii(
 
 
 def terrain_svg(
-    terrain: Terrain,
+    word,
     dt: DecoratedTerrain | None = None,
     path: LatticedPath | None = None,
     scale: int = 24,
 ) -> str:
-    generic = terrain.directions()
-    steps = path.steps if path is not None else generic
+    steps = path.steps if path is not None else word
     n = len(steps)
     heights = prefix_heights(steps)
-    generic_heights = prefix_heights(generic)
+    generic_heights = prefix_heights(word)
     hi = max(generic_heights + heights) if n else 0
     lo = min(generic_heights + heights) if n else 0
     pad = scale

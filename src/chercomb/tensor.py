@@ -4,13 +4,15 @@ Because added residues are pairwise non-adjacent, a member splits into one
 single-residue member per active residue (delete the added nodes of every
 other residue), tableaux split by restriction, degrees add up, and the
 decomposition matrix is the entrywise product of the single-residue
-matrices.  factor_check verifies the last two statements exhaustively with
-both sides computed independently.
+matrices.  factor_check verifies the last three statements exhaustively
+with both sides computed independently.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from .gamma import GammaContext, build_gamma_set
 from .laurent import LaurentPoly
@@ -30,11 +32,8 @@ class FactoredContext:
 
 
 def factor_context(gctx: GammaContext) -> FactoredContext:
-    children = {}
-    for r, m in sorted(gctx.multiset.items()):
-        if m == 0:
-            continue
-        children[r] = build_gamma_set(gctx.gamma, [r], {r: m}, gctx.ctx)
+    multiset = sorted(gctx.multiset.items())
+    children = {r: build_gamma_set(gctx.gamma, [r], {r: m}, gctx.ctx) for r, m in multiset}
     return FactoredContext(gctx, children)
 
 
@@ -73,7 +72,8 @@ class FactorReport:
 
 
 def factor_check(fctx: FactoredContext) -> FactorReport:
-    """Verify degree additivity and matrix factorization over every pair.
+    """Verify the tableau split, degree additivity and matrix factorization
+    over every pair.
 
     Both sides are computed independently: the left from the full context,
     the right from the per-residue contexts, with no shared caches.
@@ -84,27 +84,30 @@ def factor_check(fctx: FactoredContext) -> FactorReport:
     tableaux = 0
 
     split = {lam: psi_multipartition(lam, fctx) for lam in gctx.elements}
+    child_tabs = {
+        r: {(a, b): enumerate_sstd(a, b, ctx, child) for a, b in product(child.elements, repeat=2)}
+        for r, child in fctx.children.items()
+    }
 
-    # degree additivity, tableau by tableau, with a count cross-check
+    # the split of each pair's tableaux is the product of the child lists,
+    # as multisets; then degree additivity, tableau by tableau
     for lam in gctx.elements:
         for mu in gctx.elements:
             tabs = enumerate_sstd(lam, mu, ctx, gctx)
             pairs += 1
-            split_counts = 1
-            for r in fctx.active_residues:
-                child = fctx.children[r]
-                split_counts *= len(enumerate_sstd(split[lam][r], split[mu][r], ctx, child))
-            if split_counts != len(tabs):
+            parts = [psi_tableau(tab, fctx) for tab in tabs]
+            lists = [child_tabs[r][split[lam][r], split[mu][r]] for r in fctx.active_residues]
+            if Counter(tuple(p.values()) for p in parts) != Counter(product(*lists)):
                 return FactorReport(
                     False,
                     pairs,
                     tableaux,
-                    f"tableau count mismatch at ({lam}, {mu}): "
-                    f"{len(tabs)} vs product {split_counts}",
+                    f"tableau split mismatch at ({lam}, {mu}): {len(tabs)} tableaux "
+                    f"vs child lists of sizes {[len(x) for x in lists]}",
                 )
-            for tab in tabs:
+            for tab, part in zip(tabs, parts):
                 tableaux += 1
-                total = sum(tableau_degree(part, ctx) for part in psi_tableau(tab, fctx).values())
+                total = sum(tableau_degree(t, ctx) for t in part.values())
                 degree = tableau_degree(tab, ctx)
                 if total != degree:
                     return FactorReport(
@@ -119,15 +122,15 @@ def factor_check(fctx: FactoredContext) -> FactorReport:
     children_matrices = {r: gamma_peel_matrix(fctx.children[r]) for r in fctx.active_residues}
     for lam in gctx.elements:
         for mu in gctx.elements:
-            product = LaurentPoly.one()
+            expected = LaurentPoly.one()
             for r in fctx.active_residues:
-                product = product * children_matrices[r].entry(split[lam][r], split[mu][r])
-            if full.entry(lam, mu) != product:
+                expected = expected * children_matrices[r].entry(split[lam][r], split[mu][r])
+            if full.entry(lam, mu) != expected:
                 return FactorReport(
                     False,
                     pairs,
                     tableaux,
                     f"matrix factorization fails at ({lam}, {mu}): "
-                    f"{full.entry(lam, mu)} != {product}",
+                    f"{full.entry(lam, mu)} != {expected}",
                 )
     return FactorReport(True, pairs, tableaux)

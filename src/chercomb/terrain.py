@@ -13,9 +13,8 @@ decomposition number.
 Decoration, paths and families work on the terrain's +-1 word alone.
 Inside a single-residue family that word is the member's slot word
 (`slot_word`), so the closed-form engine never builds a node; `terrain_of`
-and `filled_edges` serve node-level input from outside a family, and
-`Terrain.directions` hands its word on.  Each norm is computed once, when
-its path or family is built.
+and `filled_edges` serve node-level input from outside a family.  Each
+norm is computed once, when its path or family is built.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import NamedTuple
 from .gamma import GammaContext, NotInGamma, addable_nodes, removable_nodes
 from .laurent import LaurentPoly
 from .params import ParamContext
-from .partitions import Multipartition, Node
+from .partitions import Multipartition
 
 
 class UnbalancedDecoration(ValueError):
@@ -34,26 +33,12 @@ class UnbalancedDecoration(ValueError):
     dominance-ordered pair inside one family."""
 
 
-class TerrainStep(NamedTuple):
-    up: bool  # up for removable, down for addable
-    node: Node
-
-
-@dataclass(frozen=True)
-class Terrain:
-    residue: int
-    steps: tuple[TerrainStep, ...]
-
-    def directions(self) -> tuple[int, ...]:
-        return tuple(1 if s.up else -1 for s in self.steps)
-
-
-def terrain_of(mu: Multipartition, residue: int, ctx: ParamContext) -> Terrain:
-    r = ctx.residue(residue)
-    entries = [TerrainStep(True, n) for n in removable_nodes(mu, ctx, [r])]
-    entries += [TerrainStep(False, n) for n in addable_nodes(mu, ctx, [r])]
-    entries.sort(key=lambda s: ctx.node_coord(s.node))
-    return Terrain(r, tuple(entries))
+def terrain_of(mu: Multipartition, residue: int, ctx: ParamContext):
+    """mu's removable and addable nodes of the residue in coordinate order,
+    and the terrain's word over them: +1 (up) where mu contains the node."""
+    edges = removable_nodes(mu, ctx, [residue]) + addable_nodes(mu, ctx, [residue])
+    nodes = sorted(edges, key=ctx.node_coord)
+    return nodes, tuple(1 if mu.contains(n) else -1 for n in nodes)
 
 
 def slot_word(mu: Multipartition, gctx: GammaContext) -> tuple[int, ...]:
@@ -83,15 +68,15 @@ class DecoratedTerrain:
         return tuple(hi for _, hi in self.pairs)
 
 
-def filled_edges(terrain: Terrain, mu, lam, ctx: ParamContext) -> frozenset[int]:
-    """The 1-based edges of mu's terrain whose node lam contains, after
-    checking that lam differs from mu only by moving nodes of the
-    terrain's residue on its edges, size for size."""
+def filled_edges(nodes, mu, lam, residue: int, ctx: ParamContext) -> frozenset[int]:
+    """The 1-based edges of mu's terrain `nodes` whose node lam contains,
+    after checking that lam differs from mu only in nodes of the residue,
+    size for size.  Both being partitions, and a node's upper and left
+    neighbours having residues r+-1, every node mu loses is then removable
+    in mu and every node lam gains is addable to it: an edge."""
     common = mu.meet(lam)
-    added = set(lam.diagram_difference(common))
-    removed = set(mu.diagram_difference(common))
-    r = terrain.residue
-    for node in added | removed:
+    r = ctx.residue(residue)
+    for node in lam.diagram_difference(common) + mu.diagram_difference(common):
         if ctx.residue_of(node) != r:
             raise UnbalancedDecoration(
                 f"node {node} moved between {mu} and {lam} has residue "
@@ -99,14 +84,7 @@ def filled_edges(terrain: Terrain, mu, lam, ctx: ParamContext) -> frozenset[int]
             )
     if lam.size != mu.size:
         raise UnbalancedDecoration(f"sizes differ: {lam.size} vs {mu.size}")
-    edge_nodes = {step.node for step in terrain.steps}
-    for node in added:
-        if node not in edge_nodes:
-            raise UnbalancedDecoration(f"added node {node} is not addable in mu")
-    for node in removed:
-        if node not in edge_nodes:
-            raise UnbalancedDecoration(f"removed node {node} is not removable in mu")
-    return frozenset(j for j, step in enumerate(terrain.steps, start=1) if lam.contains(step.node))
+    return frozenset(j for j, node in enumerate(nodes, start=1) if lam.contains(node))
 
 
 def decorate(steps, filled) -> DecoratedTerrain:

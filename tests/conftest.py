@@ -118,7 +118,7 @@ def node_decorate():
     does: the coordinate terrain, the boundary check, then the word match."""
 
     def run(mu, lam, residue, ctx):
-        terrain = terrain_of(mu, residue, ctx)
-        return decorate(terrain.directions(), filled_edges(terrain, mu, lam, ctx))
+        nodes, word = terrain_of(mu, residue, ctx)
+        return decorate(word, filled_edges(nodes, mu, lam, residue, ctx))
 
     return run

@@ -416,12 +416,44 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("multiset", {"0": True}),
         ("gamma", [[True, True]]),
         ("residues", [False]),
+        # nor booleans taken as rationals
+        ("g", True),
+        ("theta", [True]),
+        ("epsilon_display", True),
+        # 5 names residue 0 again at e=5
+        ("multiset", {"0": 2, "5": 1}),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):
     code, out = run(capsys, "validate", json.dumps({**HOOK_CONTEXT, field: value}))
     assert code == 1
     assert json.loads(out)["detail"].startswith(f"{field}:")
+
+
+HOOK, LEVEL10 = json.dumps(HOOK_CONTEXT), json.dumps(DECORATION_CONTEXT)
+WEIGHT10 = "[[1]" + ",[]" * 9 + "]"  # a level-10 multipartition
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["terrain", LEVEL10, "[[1]]", "--residue", "1"], "weight: has 1 components but level is 10"),
+        (
+            ["terrain", LEVEL10, WEIGHT10, "--residue", "1", "--decorate", WEIGHT10[:-1] + ",[]]"],
+            "decorate: has 11 components",
+        ),
+        (["tableaux", HOOK, "[[5,1,1,1],[1]]", "[[5,1,1,1,1]]"], "shape: has 2 components"),
+        (["delta-char", HOOK, "[[5,1,1,1,1]]", "[[5,1,1,1],[1]]"], "weight: has 2 components"),
+        (["decomp", HOOK, "--pair", "[[5,1,1,1,1]]", "[[5,1,1,1],[1]]"], "--pair: has 2 components"),
+        (["decomp", HOOK, "--pair", "[[6,1,1,1,1]", "[[5,1,1,1,1,1]]"], "--pair: Expecting"),
+        (["transport", HOOK, "--target", HOOK, "--shape", "[[5,1,1,1],[1]]"], "--shape: has 2 components"),
+    ],
+    ids=["weight-short", "decorate-long", "shape", "weight", "pair", "pair-not-json", "transport-shape"],
+)
+def test_multipartition_argument_is_named(capsys, argv, prefix):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["detail"].startswith(prefix)
 
 
 @pytest.mark.parametrize(

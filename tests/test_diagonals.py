@@ -1,7 +1,7 @@
 import pytest
 
 from chercomb import (
-    DiagonalModelViolation,
+    NotAdmissible,
     ParamContext,
     chi_sequence,
     coord,
@@ -145,7 +145,7 @@ def test_x_coordinate_definitions_agree():
 
 
 def test_inadmissible_raises(ctx_e5):
-    with pytest.raises(DiagonalModelViolation):
+    with pytest.raises(NotAdmissible):
         i_diagonals(mp([1]), 0, ctx_e5)
 
 

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+top-level function or class it defines is named somewhere else.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree.  The package `__init__` is left out: it imports to re-export.
@@ -11,7 +12,9 @@ import pytest
 
 import chercomb
 
-MODULES = sorted(p for p in Path(chercomb.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(chercomb.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parent.parent
 
 
 def imported_names(tree):
@@ -33,3 +36,29 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def named(tree):
+    """Every identifier the tree reads, as a name, an attribute, or the last
+    dotted part of a string (the benchmark names the functions it wraps)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value.rsplit(".", 1)[-1])
+    return out
+
+
+def test_no_dead_definitions():
+    readers = [*MODULES, *(REPO / "tests").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    used = set().union(*(named(ast.parse(p.read_text(encoding="utf-8"))) for p in readers))
+    dead = [
+        f"{path.name}: {node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert not dead, f"defined but never named outside the package __init__: {dead}"

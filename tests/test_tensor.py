@@ -1,3 +1,5 @@
+from collections import Counter
+
 from chercomb import (
     LaurentPoly,
     ParamContext,
@@ -10,6 +12,7 @@ from chercomb import (
     psi_multipartition,
     psi_tableau,
 )
+from chercomb import tensor
 
 
 def test_single_residue_factor_is_trivial(gctx_hook):
@@ -97,3 +100,33 @@ def test_dominance_respected_by_split(gctx_runner):
                 for r in fctx.active_residues
             )
             assert whole == parts
+
+
+def test_factor_check_enumerates_each_child_pair_once(monkeypatch, gctx_runner):
+    fctx = factor_context(gctx_runner)
+    real = tensor.enumerate_sstd
+    calls = Counter()
+
+    def counting(lam, mu, ctx, gctx=None):
+        calls["parent" if gctx is fctx.parent else "child"] += 1
+        return real(lam, mu, ctx, gctx)
+
+    monkeypatch.setattr(tensor, "enumerate_sstd", counting)
+    report = factor_check(fctx)
+    assert report.ok and (report.pairs_checked, report.tableaux_checked) == (400, 270)
+    # 2 and 10 members in the children: 2^2 + 10^2 distinct child pairs
+    assert calls == {"parent": 400, "child": 104}
+
+
+def test_factor_check_compares_splits_not_counts(monkeypatch, gctx_runner):
+    # every tableau of a pair is given the first one's split: the counts
+    # still match, the multisets do not
+    real = tensor.psi_tableau
+    first = {}
+
+    def first_split(tab, fctx):
+        return first.setdefault((tab.shape, tab.weight), real(tab, fctx))
+
+    monkeypatch.setattr(tensor, "psi_tableau", first_split)
+    report = factor_check(factor_context(gctx_runner))
+    assert not report.ok and report.failure.startswith("tableau split mismatch")

@@ -8,9 +8,11 @@ from chercomb import (
     LaurentPoly,
     ParamContext,
     UnbalancedDecoration,
+    addable_nodes,
     build_gamma_set,
     decorate,
     empty_multipartition,
+    filled_edges,
     latticed_paths,
     mp,
     nested_decomposition_number,
@@ -18,11 +20,13 @@ from chercomb import (
     terrain_of,
     well_nested_families,
 )
+from chercomb.gamma import strip_residues
 from chercomb.selfcheck import random_single_residue_context
 
 
 def directions(terrain):
-    return "".join("/" if s.up else "v" for s in terrain.steps)
+    _, word = terrain
+    return "".join("/" if s > 0 else "v" for s in word)
 
 
 def test_terrain_examples(ctx_level10, decoration_pair):
@@ -33,6 +37,47 @@ def test_terrain_examples(ctx_level10, decoration_pair):
     assert directions(terrain_of(mu, 1, ctx_level10)) == "//vv/v/v//"
     empty_ctx = ParamContext(4, [2], ["0"], "1")
     assert directions(terrain_of(empty_multipartition(1), 2, empty_ctx)) == "v"
+
+
+@pytest.mark.parametrize(
+    "e, charges, theta, g, residues",
+    [
+        (3, [0], ["0"], "1", range(3)),
+        (4, [0, 1], ["0", "1/2"], "1", range(4)),
+        (None, [0, 2], ["0", "1/3"], "1", range(-3, 5)),
+        (3, [2, 1], ["0", "1"], "2", range(3)),
+    ],
+    ids=["e3", "e4", "e_inf", "flotw"],
+)
+def test_terrain_nodes_and_filled_edges_exhaustive(e, charges, theta, g, residues):
+    """Up to size 4: the terrain is the addable nodes of mu's residue-r
+    core, up exactly on mu's nodes, and filled_edges accepts an equal-size
+    pair exactly when the two share that core.  Every node an accepted pair
+    moves is then an edge, so the residue and size checks are the whole of
+    its validation."""
+    ctx = ParamContext(e, charges, theta, g)
+    by_size = [[empty_multipartition(ctx.level)]]
+    for _ in range(4):
+        grown = {lam.with_node(n) for lam in by_size[-1] for n in addable_nodes(lam, ctx)}
+        by_size.append(list(grown))
+    for r in residues:
+        for shapes in by_size:
+            core = {lam: strip_residues(lam, [r], ctx) for lam in shapes}
+            for mu in shapes:
+                nodes, word = terrain_of(mu, r, ctx)
+                assert nodes == addable_nodes(core[mu], ctx, [r])
+                up = {n for n, s in zip(nodes, word) if s > 0}
+                assert up == set(mu.diagram_difference(core[mu]))
+                for lam in shapes:
+                    try:
+                        filled_edges(nodes, mu, lam, r, ctx)
+                        accepted = True
+                    except UnbalancedDecoration:
+                        accepted = False
+                    assert accepted == (core[lam] == core[mu]), (r, mu, lam)
+                    if accepted:
+                        moved = lam.diagram_difference(mu) + mu.diagram_difference(lam)
+                        assert set(moved) <= set(nodes), (r, mu, lam)
 
 
 def test_decoration_figure(ctx_level10, decoration_pair, node_decorate):
