@@ -80,10 +80,8 @@ from .transport import (
     IncompatibleContexts,
     NotComparable,
     TransportMap,
-    component_word,
     interval_length,
     sigma_indices,
-    tableau_from_word,
 )
 
 __version__ = "0.1.0"

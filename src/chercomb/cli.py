@@ -92,7 +92,7 @@ def _to_latex(payload) -> str:
     rows = payload.get("rows")
     if rows is None:
         return json.dumps(payload)
-    lines = ["\\begin{array}{%s}" % ("l" * len(rows[0]))]
+    lines = ["\\begin{array}{%s}" % ("l" * len(payload["columns"]))]
     for row in rows:
         lines.append(" & ".join(str(x) for x in row) + " \\\\")
     lines.append("\\end{array}")
@@ -107,10 +107,23 @@ def _poly_payload(poly: LaurentPoly) -> dict:
     }
 
 
-def _need_gamma(gctx, what="this command"):
+def _need_gamma(gctx, what="context"):
     if gctx is None:
-        raise ValidationError(f"{what} needs gamma/residues/multiset in the context file")
+        raise ValidationError(f"{what}: needs gamma/residues/multiset in the context file")
     return gctx
+
+
+def _residue(gctx, what="context"):
+    """The working residue of a single-residue family; what names the argument."""
+    if len(_need_gamma(gctx, what).multiset) != 1:
+        raise ValidationError(f"{what}: the family is not single-residue")
+    return gctx.residue
+
+
+def _pinning(gctx, lam, mu):
+    """The family when it holds both shapes, so the base nodes are pinned;
+    else None, the general search."""
+    return gctx if gctx is not None and lam in gctx and mu in gctx else None
 
 
 def _mp_arg(text, name, ctx):
@@ -152,8 +165,7 @@ def cmd_tableaux(args):
     ctx, gctx, _ = parse_context(args.context)
     lam = _mp_arg(args.shape, "shape", ctx)
     mu = _mp_arg(args.weight, "weight", ctx)
-    gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
-    tabs = enumerate_sstd(lam, mu, ctx, gctx)
+    tabs = enumerate_sstd(lam, mu, ctx, _pinning(gctx, lam, mu))
     degrees = [tableau_degree(tab, ctx) for tab in tabs]
     rows = []
     for tab, degree in zip(tabs, degrees):
@@ -173,8 +185,7 @@ def cmd_delta_char(args):
     ctx, gctx, _ = parse_context(args.context)
     lam = _mp_arg(args.shape, "shape", ctx)
     mu = _mp_arg(args.weight, "weight", ctx)
-    gctx = _need_gamma(gctx, "--restricted") if args.restricted else None
-    poly = delta_character(lam, mu, ctx, gctx)
+    poly = delta_character(lam, mu, ctx, _pinning(gctx, lam, mu))
     _emit(_poly_payload(poly), args)
     return EXIT_OK
 
@@ -206,13 +217,14 @@ def cmd_decomp(args):
 
 
 def cmd_terrain(args):
+    if args.paths and not (args.decorate and args.render == "ascii"):
+        raise ValidationError("--paths: needs --decorate and --render ascii")
     ctx, gctx, _ = parse_context(args.context)
     mu = _mp_arg(args.weight, "weight", ctx)
     if args.residue is not None:
         residue = ctx.residue(args.residue)
     else:
-        gctx = _need_gamma(gctx)
-        residue = gctx.residue
+        residue = _residue(gctx)
     nodes, word = terrain_of(mu, residue, ctx)
     dt = None
     if args.decorate:
@@ -223,7 +235,7 @@ def cmd_terrain(args):
         return EXIT_OK
     if args.render == "ascii":
         blocks = [terrain_ascii(word, dt)]
-        if args.paths and dt is not None:
+        if args.paths:
             for pair in dt.pairs:
                 for p in latticed_paths(dt, pair):
                     blocks.append(f"pair {pair}, norm {p.norm}:")
@@ -249,9 +261,9 @@ def cmd_chi(args):
     if args.depth < 0:
         raise ValidationError(f"--depth must be at least 0, got {args.depth}")
     ctx, gctx, eps = parse_context(args.context)
-    gctx = _need_gamma(gctx)
-    seq = chi_sequence(gctx.gamma, gctx.residue, ctx)
-    diags = i_diagonals(gctx.gamma, gctx.residue, ctx)
+    residue = _residue(gctx)
+    seq = chi_sequence(gctx.gamma, residue, ctx)
+    diags = i_diagonals(gctx.gamma, residue, ctx)
     payload = {
         "chi": format_chi(seq),
         "x_order": [str(d.x) for d in diags],
@@ -259,8 +271,8 @@ def cmd_chi(args):
     }
     if args.compare:
         octx, ogctx, _ = parse_context(args.compare)
-        ogctx = _need_gamma(ogctx)
-        other = chi_sequence(ogctx.gamma, ogctx.residue, octx)
+        other_residue = _residue(ogctx, "--compare")
+        other = chi_sequence(ogctx.gamma, other_residue, octx)
         report = chi_equivalent(seq, other, depth=args.depth)
         payload["other_chi"] = format_chi(other)
         payload["status"] = report.status
@@ -277,9 +289,9 @@ def cmd_chi(args):
 
 def cmd_transport(args):
     ctx, gctx, _ = parse_context(args.context)
-    gctx = _need_gamma(gctx)
-    tctx, tgctx, _ = parse_context(args.target)
-    tgctx = _need_gamma(tgctx)
+    _residue(gctx)
+    _, tgctx, _ = parse_context(args.target)
+    _residue(tgctx, "--target")
     tmap = TransportMap(gctx, tgctx)
     if args.shape:
         lam = _mp_arg(args.shape, "--shape", ctx)
@@ -389,14 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("shape")
     p.add_argument("weight")
-    p.add_argument("--restricted", action="store_true", help="pin the base nodes")
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("delta-char", help="graded standard character")
     common(p)
     p.add_argument("shape")
     p.add_argument("weight")
-    p.add_argument("--restricted", action="store_true")
     p.set_defaults(func=cmd_delta_char)
 
     p = sub.add_parser("decomp", help="graded decomposition numbers")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .coords import ExactCoord
 from .params import ParamContext
-from .partitions import Multipartition, Node
+from .partitions import Multipartition
 
 
 class DuplicateCoordinate(ValueError):
@@ -18,13 +18,12 @@ class DuplicateCoordinate(ValueError):
 
 
 class Loading:
-    """Sorted sequence of (coordinate, residue) points with node provenance."""
+    """Sorted sequence of (coordinate, residue) points."""
 
-    __slots__ = ("points", "provenance", "_by_residue")
+    __slots__ = ("points", "_by_residue")
 
-    def __init__(self, points, provenance=None):
+    def __init__(self, points):
         self.points = sorted(points)
-        self.provenance = provenance or {}
         seen = set()
         for c, _ in self.points:
             if c in seen:
@@ -47,21 +46,12 @@ class Loading:
     def by_residue(self, residue: int) -> list[ExactCoord]:
         return self._by_residue.get(residue, [])
 
-    def node_at(self, c: ExactCoord) -> Node:
-        return self.provenance[c]
-
     def numeric_coords(self, eps_value):
         return [c.numeric(eps_value) for c in self.coords()]
 
 
 def loading_of(lam: Multipartition, ctx: ParamContext) -> Loading:
-    points = []
-    provenance = {}
-    for node in lam.nodes():
-        c = ctx.node_coord(node)
-        points.append((c, ctx.residue_of(node)))
-        provenance[c] = node
-    return Loading(points, provenance)
+    return Loading((ctx.node_coord(node), ctx.residue_of(node)) for node in lam.nodes())
 
 
 def residue_multiset(lam: Multipartition, ctx: ParamContext) -> dict[int, int]:

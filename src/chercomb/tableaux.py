@@ -30,14 +30,14 @@ from itertools import product
 
 from .gamma import GammaContext
 from .laurent import LaurentPoly
-from .loadings import loading_of, residue_multiset
+from .loadings import residue_multiset
 from .params import ParamContext
 from .partitions import Node
 
 
 class Tableau:
     """A residue-preserving bijection from nodes of the shape to nodes of
-    the weight, stored node-to-node via loading provenance."""
+    the weight, stored node-to-node."""
 
     __slots__ = ("shape", "weight", "mapping")
 
@@ -105,10 +105,9 @@ def enumerate_sstd(lam, mu, ctx: ParamContext, gctx: GammaContext | None = None)
 def _enumerate_general(lam, mu, ctx):
     if lam.size != mu.size or residue_multiset(lam, ctx) != residue_multiset(mu, ctx):
         return []
-    weight_loading = loading_of(mu, ctx)
     by_res: dict[int, list[Node]] = {}
-    for c, r in weight_loading.points:
-        by_res.setdefault(r, []).append(weight_loading.node_at(c))
+    for node in sorted(mu.nodes(), key=ctx.node_coord):
+        by_res.setdefault(ctx.residue_of(node), []).append(node)
 
     cells = sorted(lam.nodes(), key=lambda n: ctx.node_coord(n))
     g = ctx.g

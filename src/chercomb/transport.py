@@ -1,7 +1,7 @@
 """Slot-indexed transport between single-residue contexts.
 
 Inside one family, a member is determined by which slots of the ordered
-addable list it fills, and a base-pinned tableau by its component word (the
+addable list it fills, and a base-pinned tableau by its slot moves (the
 slot receiving each added node).  Matching slot data across two contexts
 with equally long addable lists transports members and tableaux; when the
 brick fingerprints are equivalent this transport is a graded isomorphism,
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gamma import GammaContext, NotInGamma
+from .gamma import GammaContext
 from .partitions import Multipartition
 from .tableaux import Tableau, pinned_tableau, slot_moves
 
@@ -39,20 +39,6 @@ def interval_length(lam, mu, gctx: GammaContext) -> int:
     return sum(y - x for x, y in zip(sigma_indices(lam, gctx), sigma_indices(mu, gctx)))
 
 
-def component_word(tab: Tableau, gctx: GammaContext) -> tuple[int, ...]:
-    """The slot receiving each added node of the shape, in slot order.
-
-    A base-pinned tableau is uniquely determined by this word.
-    """
-    return tuple(t for _, t in slot_moves(tab, gctx)[gctx.residue])
-
-
-def tableau_from_word(lam, mu, word, gctx: GammaContext) -> Tableau:
-    if sorted(word) != list(sigma_indices(mu, gctx)):
-        raise NotInGamma(f"word {word} does not fill the added slots of {mu}")
-    return pinned_tableau(lam, mu, gctx, {gctx.residue: zip(sigma_indices(lam, gctx), word)})
-
-
 @dataclass(frozen=True)
 class TransportMap:
     source: GammaContext
@@ -76,5 +62,5 @@ class TransportMap:
     def tableau(self, tab: Tableau) -> Tableau:
         lam = self.multipartition(tab.shape)
         mu = self.multipartition(tab.weight)
-        word = component_word(tab, self.source)
-        return tableau_from_word(lam, mu, word, self.target)
+        moves = slot_moves(tab, self.source)[self.source.residue]
+        return pinned_tableau(lam, mu, self.target, {self.target.residue: moves})

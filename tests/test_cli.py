@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import chercomb.peeling as peeling
 from chercomb import LaurentPoly
-from chercomb.cli import main
+from chercomb.cli import build_parser, main
 from chercomb.contextio import context_to_json, parse_context, ParseError
 
 HOOK_CONTEXT = {
@@ -115,9 +117,7 @@ def test_gamma_set_flotw_hasse_edges(capsys, tmp_path, flotw2_file):
 
 
 def test_tableaux_and_delta_char(capsys, hook_file):
-    code, out = run(
-        capsys, "tableaux", hook_file, "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]", "--restricted"
-    )
+    code, out = run(capsys, "tableaux", hook_file, "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]")
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 1 and payload["degrees"] == [2]
@@ -204,7 +204,7 @@ def test_terrain_ascii(capsys, tmp_path):
     [
         ([], "1e4d96497804820b50f989d54fca2a5cb05fb2761309e40ed80a8ea5fc8601c2"),
         (["--render", "ascii", "--paths"], "9146d4ede0754df760d1a7a7469a8eb8c71735c5f2d35635c2fc555f6a2cd3be"),
-        (["--render", "svg", "--paths"], "0a1a344de011ef0090f8bbfe6b2c9930e395b8ca384758be0624778fc2308591"),
+        (["--render", "svg"], "0a1a344de011ef0090f8bbfe6b2c9930e395b8ca384758be0624778fc2308591"),
     ],
     ids=["json", "ascii", "svg"],
 )
@@ -285,13 +285,13 @@ def test_tensor_factor_command(capsys, tmp_path):
     assert md5(out) == "0ac6da705c7914227309eaaad5a1aad8"
 
 
-# Restricted tableaux and their slot-move splits keep these bytes.
+# Base-pinned tableaux and their slot-move splits keep these bytes.
 @pytest.mark.parametrize(
     "context, argv, digest",
     [
         (
             RUNNER_CONTEXT,
-            ["tableaux", "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]", "--restricted"],
+            ["tableaux", "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]"],
             "b408ffdbb0a6aa0a3e98f78b03e69410",
         ),
         (PAIR_CONTEXT, ["tensor-factor", "--verify"], "312637dc1646c6b2537ce2bdd21ef775"),
@@ -370,12 +370,31 @@ def test_selfcheck_rejects_count_below_one(capsys, count):
     assert "--count" in json.loads(out)["detail"]
 
 
-@pytest.mark.parametrize("command", ["tableaux", "delta-char"])
-def test_restricted_needs_gamma(capsys, command):
-    doc = json.dumps({"e": 5, "multicharge": [0], "theta": ["0"], "g": "1"})
-    code, out = run(capsys, command, doc, "[[2]]", "[[1,1]]", "--restricted")
-    assert code == 1
-    assert "--restricted" in json.loads(out)["detail"]
+def test_context_pins_base_nodes(capsys, tmp_path, flotw2_file):
+    # one 0-node added to the FLOTW base: the family pins gamma's 37 nodes,
+    # where the general search over them would not finish
+    with open(flotw2_file) as fh:
+        context = json.load(fh)
+    path = tmp_path / "flotw1.json"
+    path.write_text(json.dumps(dict(context, multiset={"0": 1})))
+    pair = "[[8,5,3,1,1],[5,5,4,2,2,1,1]]", "[[7,5,3,1,1],[5,5,4,2,2,1,1,1]]"
+    code, out = run(capsys, "tableaux", str(path), *pair)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 1 and payload["degrees"] == [9]
+    code, out = run(capsys, "delta-char", str(path), *pair)
+    assert code == 0 and json.loads(out)["pretty"] == "t^9"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_table_formats_with_no_rows(capsys, hook_file, fmt):
+    # no tableau of shape (5,1^5) has weight (6,1^4): a header and no rows
+    code, out = run(
+        capsys, "tableaux", hook_file, "[[5,1,1,1,1,1]]", "[[6,1,1,1,1]]", "--format", fmt
+    )
+    assert code == 0
+    expected = {"csv": "degree,moved_nodes", "latex": "\\begin{array}{ll}\n\\end{array}"}
+    assert out.strip() == expected[fmt]
 
 
 @pytest.mark.parametrize("render", ["ascii", "svg"])
@@ -384,7 +403,9 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
     path.write_text(json.dumps(DECORATION_CONTEXT))
     mu = "[[1],[1],[],[],[1],[],[1],[],[1],[1]]"
     lam = "[[1],[1],[1],[1],[],[1],[1],[],[],[]]"
-    argv = ["terrain", str(path), mu, "--decorate", lam, "--residue", "1", "--render", render, "--paths"]
+    argv = ["terrain", str(path), mu, "--decorate", lam, "--residue", "1", "--render", render]
+    if render == "ascii":
+        argv.append("--paths")
     code, printed = run(capsys, *argv)
     assert code == 0
     dest = tmp_path / "terrain.txt"
@@ -432,6 +453,70 @@ def test_bad_context_field_is_named(capsys, field, value):
 
 HOOK, LEVEL10 = json.dumps(HOOK_CONTEXT), json.dumps(DECORATION_CONTEXT)
 WEIGHT10 = "[[1]" + ",[]" * 9 + "]"  # a level-10 multipartition
+
+
+NO_GAMMA = json.dumps({k: HOOK_CONTEXT[k] for k in ("e", "multicharge", "theta", "g")})
+RUNNER = json.dumps(RUNNER_CONTEXT)
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [("tableaux", "degrees", [1]), ("delta-char", "pretty", "t")]
+)
+def test_shapes_outside_family_use_general_search(capsys, command, key, value):
+    # neither shape is in the hook family: the output is that of no family
+    outputs = []
+    for doc in (HOOK, NO_GAMMA):
+        code, out = run(capsys, command, doc, "[[4,1]]", "[[3,1,1]]")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])[key] == value
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["transport", HOOK, "--target", RUNNER], "--target"),
+        (["transport", HOOK, "--target", NO_GAMMA], "--target"),
+        (["transport", RUNNER, "--target", HOOK], "context"),
+        (["transport", NO_GAMMA, "--target", HOOK], "context"),
+        (["chi", HOOK, "--compare", NO_GAMMA], "--compare"),
+        (["chi", HOOK, "--compare", RUNNER], "--compare"),
+        (["chi", RUNNER, "--compare", HOOK], "context"),
+        (["terrain", NO_GAMMA, "[[1]]"], "context"),
+    ],
+    ids=[
+        "target-two-residues",
+        "target-no-gamma",
+        "source-two-residues",
+        "source-no-gamma",
+        "compare-no-gamma",
+        "compare-two-residues",
+        "chi-two-residues",
+        "terrain-no-gamma",
+    ],
+)
+def test_context_error_names_argument(capsys, argv, name):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["detail"].startswith(f"{name}: ")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--residue", "1"],
+        ["--residue", "1", "--render", "ascii"],
+        ["--residue", "1", "--decorate", "[[1],[1],[1],[1],[],[1],[1],[],[],[]]"],
+        ["--residue", "1", "--decorate", "[[1],[1],[1],[1],[],[1],[1],[],[],[]]", "--render", "svg"],
+    ],
+    ids=["alone", "no-decorate", "no-render", "svg"],
+)
+def test_terrain_paths_needs_decorated_ascii(capsys, extra):
+    mu = "[[1],[1],[],[],[1],[],[1],[],[1],[1]]"
+    code, out = run(capsys, "terrain", LEVEL10, mu, *extra, "--paths")
+    assert code == 1
+    assert json.loads(out)["detail"].startswith("--paths: ")
 
 
 @pytest.mark.parametrize(
@@ -505,3 +590,21 @@ def test_chi_rejects_negative_depth(capsys, tmp_path):
     assert "--depth" in json.loads(out)["detail"]
     code, out = run(capsys, "chi", str(path), "--compare", str(path), "--depth", "0")
     assert code == 0
+
+
+def test_readme_cli_block_matches_parser():
+    # each usage line of the README's CLI block lists its subcommand's own
+    # options; --out, --format and --help are documented once for all
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.strip().splitlines():
+        words = line.split("#", 1)[0].split()
+        documented[words[1]] = {w.strip("[]()|") for w in words[2:] if w.lstrip("[(").startswith("--")}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    common = {"--out", "--format", "--help"}
+    options = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - common
+        for name, p in sub.choices.items()
+    }
+    assert documented == options

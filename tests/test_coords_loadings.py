@@ -65,8 +65,6 @@ def test_loading_fixture():
         ctx.residue(k2 - 1),
         ctx.residue(k2 - 2),
     ]
-    # provenance: the leftmost point is row 1, column 2 of the first component
-    assert ld.node_at(ld.coords()[0]) == Node(1, 2, 1)
 
 
 def test_empty_loading():

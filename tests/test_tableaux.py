@@ -96,9 +96,9 @@ def test_gamma_strands_pinned(gctx_hook, ctx_e5):
     assert tab.mapping[Node(1, 6, 1)] == Node(6, 1, 1)
 
 
-@pytest.mark.parametrize("family", ["gctx_admissible_pair", "gctx_runner"])
+@pytest.mark.parametrize("family", ["gctx_hook", "gctx_admissible_pair", "gctx_runner"])
 def test_slot_moves_round_trip(request, family):
-    # every restricted tableau is rebuilt from its slot moves, and each
+    # every base-pinned tableau is rebuilt from its slot moves, and each
     # residue's moves are one of the rook placements between the slot sets
     gctx = request.getfixturevalue(family)
     for lam in gctx.elements:

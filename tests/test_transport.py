@@ -8,14 +8,12 @@ from chercomb import (
     ParamContext,
     TransportMap,
     build_gamma_set,
-    component_word,
     delta_character,
     enumerate_sstd,
     interval_length,
     mp,
     nested_decomposition_number,
     sigma_indices,
-    tableau_from_word,
 )
 from chercomb.selfcheck import random_single_residue_context
 
@@ -46,16 +44,6 @@ def test_sigma_extremes(gctx_sigma_example):
     assert sigma_indices(gctx.top, gctx) == tuple(range(1, m + 1))
     assert sigma_indices(gctx.bottom, gctx) == tuple(range(a - m + 1, a + 1))
     assert interval_length(gctx.top, gctx.bottom, gctx) == m * (a - m)
-
-
-def test_component_word_round_trip(gctx_hook):
-    gctx = gctx_hook
-    ctx = gctx.ctx
-    for lam in gctx.elements:
-        for mu in gctx.elements:
-            for tab in enumerate_sstd(lam, mu, ctx, gctx):
-                word = component_word(tab, gctx)
-                assert tableau_from_word(lam, mu, word, gctx) == tab
 
 
 def test_identity_transport(gctx_hook):
