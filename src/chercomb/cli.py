@@ -193,6 +193,12 @@ def cmd_delta_char(args):
 def cmd_decomp(args):
     ctx, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
+    if args.engine != "kn" and not gctx.single_residue:
+        residues = ", ".join(map(str, sorted(gctx.multiset)))
+        raise ValidationError(
+            f"context: the family adds residues {residues}, but --engine {args.engine} runs the"
+            " closed formula, which needs a single residue; --engine kn applies"
+        )
     if args.pair:
         lam = _mp_arg(args.pair[0], "--pair", ctx)
         mu = _mp_arg(args.pair[1], "--pair", ctx)
@@ -276,6 +282,7 @@ def cmd_chi(args):
         report = chi_equivalent(seq, other, depth=args.depth)
         payload["other_chi"] = format_chi(other)
         payload["status"] = report.status
+        payload["search"] = {"states": report.states, "depth": report.depth}
         if report.trace is not None:
             payload["trace"] = [step.describe() for step in report.trace]
             payload["rules_used"] = sorted(report.rules_used)

@@ -11,12 +11,19 @@ All identifications preserve the subsequence of top-kind-0 symbols once
 each is normalized to  sign * (+1 for d4, -1 for d5)  with centred symbols
 kept as signed markers; that invariant soundly separates inequivalent
 sequences.  Equivalence itself is semi-decided by bounded bidirectional
-search over the rewrite graph, returning a witness trace when found.
+search over the rewrite graph, returning a witness trace when found.  The
+search never expands o into a centred pair: it applies (iv) only to cancel.
+
+The search runs on words, one character per symbol: a `str` state hashes
+once and compares as memory, where a tuple of symbols rehashes every field.
+Two tables built at import from the rules, the moves of one symbol and of an
+adjacent pair, drive it; a step becomes symbols again only in a trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .diagonals import CENTRE, LEFT, RIGHT, TOP_LOWER, TOP_UPPER, VISIBLE, ChiSymbol, empty_symbol
 
@@ -47,81 +54,83 @@ class RewriteStep:
         return f"({self.rule}) at {self.position}: {frm} => {to}"
 
 
-def _apply(seq, pos, width, replacement):
-    return seq[:pos] + tuple(replacement) + seq[pos + width :]
+def _symbol_moves(sym):
+    """(rule, replacement) for one symbol, in search order."""
+    if sym.is_empty:
+        if sym.sign > 0:  # (v): delete a bare empty; expand it into two negatives
+            return [("v", ()), ("v", (empty_symbol(-1), empty_symbol(-1)))]
+        # (ii): a negative empty expands to a two-symbol pair
+        tops = ((TOP_LOWER, TOP_UPPER), (TOP_UPPER, TOP_LOWER))
+        return [
+            ("ii", (ChiSymbol(s, kind, t0), ChiSymbol(s, kind, t1)))
+            for kind, s, (t0, t1) in product((LEFT, RIGHT), (1, -1), tops)
+        ]
+    if sym.kind in (LEFT, RIGHT):  # (i): subscript swap with sign flip
+        return [("i", (ChiSymbol(-sym.sign, LEFT + RIGHT - sym.kind, sym.top),))]
+    return []
 
 
-def neighbours(seq, max_len):
-    """All sequences one identification away, tagged with the step taken."""
+def _pair_moves(a, b):
+    """(rule, replacement) for two adjacent symbols, in search order."""
+    if a.is_empty or b.is_empty:  # (v): merge two negative empties
+        return [("v", (empty_symbol(1),))] if a == b == empty_symbol(-1) else []
     out = []
+    sided = a.kind == b.kind and a.kind in (LEFT, RIGHT)
+    topped = a.top in (TOP_LOWER, TOP_UPPER)
+    # (ii): cancel a top pair on one side into a negative empty
+    if sided and a.sign == b.sign and {a.top, b.top} == {TOP_LOWER, TOP_UPPER}:
+        out.append(("ii", (empty_symbol(-1),)))
+    # (iii): transpose an opposite-sign pair of equal topped symbols
+    if sided and a.top == b.top and topped and a.sign == -b.sign:
+        out.append(("iii", (b, a)))
+    # (iv): cancel an equal centred pair into a bare empty
+    if a.kind == CENTRE == b.kind and a.sign == b.sign and a.top == b.top and topped:
+        out.append(("iv", (empty_symbol(1),)))
+    return out
 
-    def emit(rule, pos, width, replacement):
-        new = _apply(seq, pos, width, replacement)
-        if len(new) <= max_len:
-            out.append((new, RewriteStep(rule, pos, seq[pos : pos + width], tuple(replacement))))
 
-    n = len(seq)
-    for p, sym in enumerate(seq):
-        if sym.is_empty:
-            # (v): delete a bare empty; expand it into two negatives
-            if sym.sign > 0:
-                emit("v", p, 1, ())
-                emit("v", p, 1, (empty_symbol(-1), empty_symbol(-1)))
-            else:
-                # (ii): a negative empty expands to a two-symbol pair
-                for kind in (LEFT, RIGHT):
-                    for s in (1, -1):
-                        for tops in ((TOP_LOWER, TOP_UPPER), (TOP_UPPER, TOP_LOWER)):
-                            emit(
-                                "ii",
-                                p,
-                                1,
-                                (ChiSymbol(s, kind, tops[0]), ChiSymbol(s, kind, tops[1])),
-                            )
-            continue
-        # (i): subscript swap with sign flip
-        if sym.kind == LEFT:
-            emit("i", p, 1, (ChiSymbol(-sym.sign, RIGHT, sym.top),))
-        elif sym.kind == RIGHT:
-            emit("i", p, 1, (ChiSymbol(-sym.sign, LEFT, sym.top),))
+SYMBOLS = (empty_symbol(1), empty_symbol(-1)) + tuple(
+    ChiSymbol(s, kind, top)
+    for kind, s, top in product((LEFT, RIGHT, CENTRE), (1, -1), (VISIBLE, TOP_LOWER, TOP_UPPER))
+)
+_CHAR = {sym: chr(ord("A") + n) for n, sym in enumerate(SYMBOLS)}
+_SYMBOL = {ch: sym for sym, ch in _CHAR.items()}
+EMPTY_CHAR = _CHAR[empty_symbol(1)]
 
+
+def encode(seq) -> str:
+    return "".join(_CHAR[sym] for sym in seq)
+
+
+def decode(word: str) -> tuple:
+    return tuple(_SYMBOL[ch] for ch in word)
+
+
+def _table(moves):
+    return tuple((rule, encode(rep), len(rep)) for rule, rep in moves)
+
+
+# symbol -> its moves, and adjacent pair -> its moves, as (rule, word, length)
+SINGLE = {_CHAR[x]: _table(_symbol_moves(x)) for x in SYMBOLS}
+PAIR = {_CHAR[x] + _CHAR[y]: _table(_pair_moves(x, y)) for x, y in product(SYMBOLS, repeat=2)}
+
+
+def neighbours(word, max_len):
+    """Each word one identification away, with its step (rule, position,
+    width, replacement): symbol moves, pair moves, then o insertions."""
+    out = []
+    n = len(word)
+    for p, ch in enumerate(word):
+        for rule, rep, size in SINGLE[ch]:
+            if n - 1 + size <= max_len:
+                out.append((word[:p] + rep + word[p + 1 :], (rule, p, 1, rep)))
     for p in range(n - 1):
-        a, b = seq[p], seq[p + 1]
-        if a.is_empty or b.is_empty:
-            # (v): merge two negative empties
-            if a.is_empty and b.is_empty and a.sign < 0 and b.sign < 0:
-                emit("v", p, 2, (empty_symbol(1),))
-            continue
-        # (ii): cancel a top pair on one side into a negative empty
-        if (
-            a.kind == b.kind
-            and a.kind in (LEFT, RIGHT)
-            and a.sign == b.sign
-            and {a.top, b.top} == {TOP_LOWER, TOP_UPPER}
-        ):
-            emit("ii", p, 2, (empty_symbol(-1),))
-        # (iii): transpose an opposite-sign pair of equal topped symbols
-        if (
-            a.kind == b.kind
-            and a.kind in (LEFT, RIGHT)
-            and a.top == b.top
-            and a.top in (TOP_LOWER, TOP_UPPER)
-            and a.sign == -b.sign
-        ):
-            emit("iii", p, 2, (b, a))
-        # (iv): cancel an equal centred pair into a bare empty
-        if (
-            a.kind == CENTRE
-            and b.kind == CENTRE
-            and a.sign == b.sign
-            and a.top == b.top
-            and a.top in (TOP_LOWER, TOP_UPPER)
-        ):
-            emit("iv", p, 2, (empty_symbol(1),))
-
-    # (v): insert a bare empty anywhere
-    for p in range(n + 1):
-        emit("v", p, 0, (empty_symbol(1),))
+        for rule, rep, size in PAIR[word[p : p + 2]]:
+            if n - 2 + size <= max_len:
+                out.append((word[:p] + rep + word[p + 2 :], (rule, p, 2, rep)))
+    if n < max_len:  # (v): insert a bare empty anywhere
+        for p in range(n + 1):
+            out.append((word[:p] + EMPTY_CHAR + word[p:], ("v", p, 0, EMPTY_CHAR)))
     return out
 
 
@@ -130,10 +139,29 @@ class EquivalenceReport:
     status: str  # 'equivalent' / 'inequivalent' / 'unknown'
     trace: list[RewriteStep] | None = None
     separating_invariant: tuple | None = None
+    states: int = 0  # states the search discovered, both starts included; 0 if none ran
+    depth: int = 0  # search levels completed
 
     @property
     def rules_used(self) -> set[str]:
         return {step.rule for step in self.trace} if self.trace else set()
+
+
+def build_trace(fwd, bwd, meet) -> list[RewriteStep]:
+    """The steps from the forward start through meet to the backward start;
+    each parent map sends a word to (previous word, step) or None."""
+    steps, cur = [], meet
+    while fwd[cur] is not None:
+        prev, (rule, pos, width, rep) = fwd[cur]
+        steps.append(RewriteStep(rule, pos, decode(prev[pos : pos + width]), decode(rep)))
+        cur = prev
+    steps.reverse()
+    cur = meet
+    while bwd[cur] is not None:  # backward steps inverted, so the trace reads a -> b
+        prev, (rule, pos, width, rep) = bwd[cur]
+        steps.append(RewriteStep(rule, pos, decode(rep), decode(prev[pos : pos + width])))
+        cur = prev
+    return steps
 
 
 def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> EquivalenceReport:
@@ -144,55 +172,26 @@ def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> Equivalen
     when the bounded bidirectional search exhausts its budget.
     """
     a, b = tuple(a), tuple(b)
-    if visible_invariant(a) != visible_invariant(b):
-        return EquivalenceReport(
-            "inequivalent",
-            separating_invariant=(visible_invariant(a), visible_invariant(b)),
-        )
+    va, vb = visible_invariant(a), visible_invariant(b)
+    if va != vb:
+        return EquivalenceReport("inequivalent", separating_invariant=(va, vb))
     if a == b:
         return EquivalenceReport("equivalent", trace=[])
-
-    def all_visible(seq):
-        return all(not s.is_empty and s.top == VISIBLE for s in seq)
-
-    if all_visible(a) and all_visible(b):
+    if all(not s.is_empty and s.top == VISIBLE for s in a + b):
         # on this fragment the invariant is complete: only the subscript
         # swap applies, so matching invariants give a direct (i)-trace
-        trace = [
-            RewriteStep("i", p, (x,), (y,))
-            for p, (x, y) in enumerate(zip(a, b))
-            if x != y
-        ]
+        trace = [RewriteStep("i", p, (x,), (y,)) for p, (x, y) in enumerate(zip(a, b)) if x != y]
         return EquivalenceReport("equivalent", trace=trace)
 
     max_len = max(len(a), len(b)) + 2 * depth
-    # parents map each discovered state to (previous state, step)
-    fwd: dict = {a: None}
-    bwd: dict = {b: None}
-    frontier_f, frontier_b = [a], [b]
+    wa, wb = encode(a), encode(b)
+    # parents map each discovered word to (previous word, step)
+    fwd, bwd = {wa: None}, {wb: None}
+    frontier_f, frontier_b = [wa], [wb]
     states = 2
-
-    def build_trace(meet):
-        steps = []
-        cur = meet
-        while fwd[cur] is not None:
-            prev, step = fwd[cur]
-            steps.append(step)
-            cur = prev
-        steps.reverse()
-        cur = meet
-        while bwd[cur] is not None:
-            prev, step = bwd[cur]
-            # invert the backward step so the trace reads a -> b
-            steps.append(
-                RewriteStep(step.rule, step.position, step.after, step.before)
-            )
-            cur = prev
-        return steps
-
-    for _ in range(depth):
+    for level in range(depth):
         if not frontier_f and not frontier_b:
-            break
+            return EquivalenceReport("unknown", states=states, depth=level)
         for frontier, seen, other in ((frontier_f, fwd, bwd), (frontier_b, bwd, fwd)):
             new_frontier = []
             for state in frontier:
@@ -202,9 +201,10 @@ def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> Equivalen
                     seen[nxt] = (state, step)
                     states += 1
                     if nxt in other:
-                        return EquivalenceReport("equivalent", trace=build_trace(nxt))
+                        trace = build_trace(fwd, bwd, nxt)
+                        return EquivalenceReport("equivalent", trace, states=states, depth=level)
                     new_frontier.append(nxt)
                     if states > max_states:
-                        return EquivalenceReport("unknown")
+                        return EquivalenceReport("unknown", states=states, depth=level)
             frontier[:] = new_frontier
-    return EquivalenceReport("unknown")
+    return EquivalenceReport("unknown", states=states, depth=depth)

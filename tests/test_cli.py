@@ -233,6 +233,9 @@ def test_chi_compare(capsys, chi_pair_files):
     payload = json.loads(out)
     assert payload["status"] == "equivalent"
     assert set(payload["rules_used"]) == {"ii", "v"}
+    # the trace the tuple search printed for this pair, step for step
+    assert md5(json.dumps(payload["trace"])) == "26ce488117019d51183311f843dc4854"
+    assert payload["search"] == {"states": 419, "depth": 1}
 
 
 def test_transport_command(capsys, tmp_path, hook_file):
@@ -500,6 +503,25 @@ def test_context_error_names_argument(capsys, argv, name):
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["detail"].startswith(f"{name}: ")
+
+
+@pytest.mark.parametrize(
+    "engine, mode",
+    [
+        ("both", ["--matrix"]),
+        ("nested", ["--matrix"]),
+        ("both", ["--pair", "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]"]),
+    ],
+    ids=["both-matrix", "nested-matrix", "both-pair"],
+)
+def test_decomp_closed_formula_needs_single_residue(capsys, engine, mode):
+    code, out = run(capsys, "decomp", RUNNER, *mode, "--engine", engine)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert detail.startswith("context: ") and "residues 1, 3" in detail
+    assert f"--engine {engine}" in detail and "--engine kn applies" in detail
+    code, out = run(capsys, "decomp", RUNNER, *mode, "--engine", "kn")
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 from chercomb import chi_equivalent, parse_chi, visible_invariant
-from chercomb.equivalence import neighbours
+from chercomb.equivalence import decode, encode, neighbours
 
 
 def seq(text):
@@ -77,8 +77,8 @@ def test_invariant_preserved_by_every_rewrite():
     ]
     for state in seeds:
         inv = visible_invariant(state)
-        for nxt, step in neighbours(state, max_len=len(state) + 2):
-            assert visible_invariant(nxt) == inv, step.describe()
+        for nxt, step in neighbours(encode(state), max_len=len(state) + 2):
+            assert visible_invariant(decode(nxt)) == inv, step
 
 
 def test_trace_replays_start_to_end():
@@ -100,3 +100,18 @@ def test_unknown_on_exhausted_budget():
     report = chi_equivalent(a, b, depth=2, max_states=50)
     assert report.status in ("unknown", "inequivalent")
     assert report.status == "unknown"
+
+
+def test_report_counts_the_search():
+    # no search runs when the invariant or the fast path decides
+    for a, b in (("+d4^0", "+d5^0"), ("+d4^0", "+d4^0"), ("+d4^0", "-d5^0")):
+        report = chi_equivalent(seq(a), seq(b))
+        assert (report.states, report.depth) == (0, 0)
+    # both starts, then every state discovered until the budget is spent
+    report = chi_equivalent(seq("+d4^2"), seq("+d4^3"), depth=1)
+    assert (report.status, report.states, report.depth) == ("unknown", 8, 1)
+    report = chi_equivalent(seq("+d4^0,+d4^2"), seq("+d4^0,+d4^3"), max_states=500)
+    assert report.status == "unknown" and report.states == 501 and report.depth < 8
+    # the meeting state ends the search inside its first level
+    report = chi_equivalent(seq("+d6^2,+d6^2"), seq(""))
+    assert report.depth == 0 and report.states > 2 and len(report.trace) == 2

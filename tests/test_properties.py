@@ -1,7 +1,9 @@
 """Property tests: order axioms, bijection round trips, engine agreement."""
 
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,8 @@ from chercomb import (
     theta_leq,
 )
 from chercomb.coords import ExactCoord
-from chercomb.diagonals import ChiSymbol
-from chercomb.equivalence import neighbours, visible_invariant
+from chercomb.diagonals import ChiSymbol, format_chi
+from chercomb.equivalence import decode, encode, neighbours, visible_invariant
 from chercomb.partitions import Multipartition
 from chercomb.selfcheck import random_single_residue_context
 
@@ -156,8 +158,8 @@ def chi_sequences(draw):
 @settings(max_examples=80, deadline=None)
 def test_rewrites_preserve_visible_invariant(seq):
     inv = visible_invariant(seq)
-    for nxt, step in neighbours(seq, max_len=len(seq) + 2):
-        assert visible_invariant(nxt) == inv, step.describe()
+    for nxt, step in neighbours(encode(seq), max_len=len(seq) + 2):
+        assert visible_invariant(decode(nxt)) == inv, step
 
 
 @given(chi_sequences(), st.integers(0, 10**6))
@@ -166,14 +168,49 @@ def test_rewritten_sequences_detected_equivalent(seq, seed):
     from chercomb import chi_equivalent
 
     rng = random.Random(seed)
-    state = seq
+    state = encode(seq)
     for _ in range(rng.randint(1, 3)):
         options = neighbours(state, max_len=len(seq) + 6)
         if not options:
             break
         state, _ = rng.choice(options)
-    report = chi_equivalent(seq, state, depth=6)
+    report = chi_equivalent(seq, decode(state), depth=6)
     assert report.status == "equivalent"
+
+
+REWRITE = Path(__file__).resolve().parents[1] / "perfbench" / "rewrite.py"
+
+
+def _load_rewrite():
+    """perfbench/rewrite.py, rules i-v written independently of the search,
+    as a module read without writing bytecode."""
+    module = types.ModuleType("perfbench_rewrite")
+    module.__file__ = str(REWRITE)
+    exec(compile(REWRITE.read_text(encoding="utf-8"), str(REWRITE), "exec"), module.__dict__)
+    return module
+
+
+rewrite = _load_rewrite()
+
+
+@given(chi_sequences())
+@settings(max_examples=200, deadline=None)
+def test_neighbours_match_rewrite_oracle(seq):
+    # every move of rules i-v but one kind: the search never expands o into
+    # a centred pair (s d6^j, s d6^j), it only cancels such a pair into o
+    found = {
+        (rule, format_chi(decode(nxt)))
+        for nxt, (rule, *_) in neighbours(encode(seq), max_len=len(seq) + 1)
+    }
+    tokens = rewrite.tokens(format_chi(seq))
+    oracle, expansions = set(), set()
+    for rule, moves in rewrite.moves(tokens).items():
+        for pos, before, after in moves:
+            move = (rule, ",".join(rewrite.apply(tokens, pos, before, after)))
+            oracle.add(move)
+            if rule == "iv" and before == ("o",):
+                expansions.add(move)
+    assert found == oracle - expansions
 
 
 def poly_strategy():
