@@ -80,6 +80,9 @@ class GammaContext:
         self.index = {mp: i for i, mp in enumerate(self.elements)}
         # (filled slots of each residue of S, in residue order) -> member
         self.by_slots = {tuple(filled[r] for r in addable): lam for lam, filled in positions.items()}
+        # (segment steps, re-based pairs) -> norm generating function of the
+        # segment's well-nested families, filled by the closed formula
+        self.segment_norms = {}
 
     # -- basic views ---------------------------------------------------------
 

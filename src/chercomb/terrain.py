@@ -15,6 +15,12 @@ Inside a single-residue family that word is the member's slot word
 (`slot_word`), so the closed-form engine never builds a node; `terrain_of`
 and `filled_edges` serve node-level input from outside a family.  Each
 norm is computed once, when its path or family is built.
+
+A path only has to ride above the pair directly enclosing it, so the
+generating function is a product over the outermost pairs, and each factor
+depends only on that pair's stretch of the word and the pairs inside it
+(`root_segments`).  The engine enumerates each distinct segment once per
+family and keeps its norm generating function on the `GammaContext`.
 """
 
 from __future__ import annotations
@@ -95,12 +101,22 @@ def decorate(steps, filled) -> DecoratedTerrain:
     sit on filled down-steps (nodes the target adds), closes on unfilled
     up-steps (nodes it removes); stack matching must succeed, which is
     exactly the requirement that the target dominates the terrain's weight.
+    A step other than +-1, or a filled edge outside the word, raises.
     """
+    steps = tuple(steps)
+    stray = set(filled).difference(range(1, len(steps) + 1))
+    if stray:
+        raise UnbalancedDecoration(
+            f"filled edges {sorted(stray)} lie outside the word's {len(steps)} edges"
+        )
     pairs, stack = [], []
     for j, step in enumerate(steps, start=1):
-        if step < 0 and j in filled:
-            stack.append(j)
-        elif step > 0 and j not in filled:
+        if step == -1:
+            if j in filled:
+                stack.append(j)
+        elif step != 1:
+            raise UnbalancedDecoration(f"step {step!r} at edge {j} is neither +1 nor -1")
+        elif j not in filled:
             if not stack:
                 raise UnbalancedDecoration(
                     f"close at edge {j} has no matching open: mu is not below lam"
@@ -108,7 +124,29 @@ def decorate(steps, filled) -> DecoratedTerrain:
             pairs.append((stack.pop(), j))
     if stack:
         raise UnbalancedDecoration(f"opens at edges {stack} never close")
-    return DecoratedTerrain(tuple(steps), tuple(pairs))
+    return DecoratedTerrain(steps, tuple(pairs))
+
+
+def root_segments(dt: DecoratedTerrain):
+    """The decoration cut at its outermost pairs, left to right: for each,
+    its stretch of the word (open edge to close edge) and the pairs inside
+    it, re-based so that the outermost pair is (1, length).
+
+    Pairs are listed as they close, so a pair is outermost exactly when no
+    later one opens earlier, and the pairs inside it are those listed since
+    the previous outermost one.
+    """
+    pairs = dt.pairs
+    roots, first = [], len(dt.steps) + 1
+    for i in reversed(range(len(pairs))):
+        if pairs[i][0] < first:
+            roots.append(i)
+            first = pairs[i][0]
+    start = 0
+    for i in reversed(roots):
+        lo, hi = pairs[i]
+        yield dt.steps[lo - 1 : hi], tuple((a - lo + 1, b - lo + 1) for a, b in pairs[start : i + 1])
+        start = i + 1
 
 
 @dataclass(frozen=True)
@@ -215,7 +253,14 @@ def field_validity(gctx: GammaContext) -> bool:
 
 def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     """Graded decomposition number as the norm generating function of
-    well-nested latticed-path families."""
+    well-nested latticed-path families.
+
+    A path is checked only against the pair directly enclosing it, so the
+    families are independent choices under each outermost pair, and their
+    norms add: the generating function is the product, over outermost
+    pairs, of the norm generating function of that pair's segment.  Each
+    distinct segment is enumerated once per family, in `gctx.segment_norms`.
+    """
     if not gctx.single_residue:
         raise NotInGamma("the closed formula needs a single-residue context")
     if lam == mu:
@@ -225,7 +270,13 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     if not gctx.leq(mu, lam):
         return NestedResult(LaurentPoly.zero(), field_validity(gctx))
     dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[gctx.residue])
-    coeffs: dict[int, int] = {}
-    for fam in well_nested_families(dt):
-        coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
-    return NestedResult(LaurentPoly(coeffs), field_validity(gctx))
+    value = None  # lam != mu, so there is at least one pair
+    for segment in root_segments(dt):
+        norms = gctx.segment_norms.get(segment)
+        if norms is None:
+            coeffs: dict[int, int] = {}
+            for fam in well_nested_families(DecoratedTerrain(*segment)):
+                coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
+            norms = gctx.segment_norms[segment] = LaurentPoly(coeffs)
+        value = norms if value is None else value * norms
+    return NestedResult(value, field_validity(gctx))

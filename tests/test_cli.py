@@ -153,6 +153,19 @@ def test_decomp_pair_and_matrix(capsys, hook_file):
     assert json.loads(out_both)["entries"] == entries
 
 
+def test_decomp_matrix_flotw3_golden(capsys, tmp_path, flotw2_file):
+    # three 0-nodes added to the FLOTW base: 120 members; 'both' also
+    # checks that the closed formula and the peel agree on every entry
+    with open(flotw2_file) as fh:
+        context = json.load(fh)
+    path = tmp_path / "flotw3.json"
+    path.write_text(json.dumps(dict(context, multiset={"0": 3})))
+    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", "both")
+    assert code == 0
+    assert len(json.loads(out)["order"]) == 120
+    assert md5(out) == "558234e5c07cc9a8fb4b6953b0d05eb8"
+
+
 @pytest.mark.parametrize("engine", ["nested", "kn", "both"])
 def test_decomp_empty_family_valid_any_field(capsys, tmp_path, engine):
     # nothing added: the family is the base alone, valid over every field

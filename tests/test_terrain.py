@@ -22,6 +22,7 @@ from chercomb import (
 )
 from chercomb.gamma import strip_residues
 from chercomb.selfcheck import random_single_residue_context
+from chercomb.terrain import root_segments
 
 
 def directions(terrain):
@@ -94,6 +95,25 @@ def test_decoration_trivial(ctx_level10, decoration_pair, node_decorate):
     assert dt.pairs == ()
     fams = well_nested_families(dt)
     assert len(fams) == 1 and fams[0].norm == 0
+
+
+def test_decorate_rejects_filled_edge_outside_word():
+    with pytest.raises(UnbalancedDecoration, match=r"filled edges \[7\]"):
+        decorate((-1, 1), {1, 7})
+
+
+def test_decorate_rejects_step_other_than_unit():
+    with pytest.raises(UnbalancedDecoration, match="step 2 at edge 2"):
+        decorate((-1, 2), {1})
+
+
+def test_root_segments_cut_at_outermost_pairs():
+    dt = decorate((-1, -1, 1, 1, -1, 1), {1, 2, 5})
+    assert dt.pairs == ((2, 3), (1, 4), (5, 6))
+    assert list(root_segments(dt)) == [
+        ((-1, -1, 1, 1), ((2, 3), (1, 4))),
+        ((-1, 1), ((1, 2),)),
+    ]
 
 
 def test_decoration_reversed_raises(ctx_level10, decoration_pair, node_decorate):
@@ -354,3 +374,60 @@ def test_stored_norms_flotw_family(gctx_flotw_bipartition):
 def test_stored_norms_random_families():
     rng = random.Random(99)
     assert sum(assert_stored_norms(random_single_residue_context(rng)) for _ in range(40)) > 0
+
+
+def assert_product_over_roots(gctx):
+    """On every comparable pair, the engine's product over outermost pairs
+    equals the norm generating function of the whole decoration's
+    well-nested families, enumerated at once.  Returns the number of pairs
+    with more than one outermost pair."""
+    split = 0
+    for lam, mu in gctx.comparable_pairs():
+        if lam == mu:
+            continue
+        dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[gctx.residue])
+        coeffs = {}
+        for fam in well_nested_families(dt):
+            coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
+        assert nested_decomposition_number(lam, mu, gctx).value == LaurentPoly(coeffs), (lam, mu)
+        split += len(list(root_segments(dt))) > 1
+    return split
+
+
+def staircase_context(m, k):
+    """S(m, k): e=3, level 1, gamma = (2m, 2m-2, ..., 2) with its m+1
+    addable nodes of residue 2m mod 3, k of them filled."""
+    ctx = ParamContext(3, [0], ["0"], "1")
+    r = 2 * m % 3
+    return build_gamma_set(mp([2 * (m - i) for i in range(m)]), [r], {r: k}, ctx)
+
+
+def test_product_over_roots_flotw_family(gctx_flotw_bipartition):
+    assert len(gctx_flotw_bipartition) == 210
+    assert assert_product_over_roots(gctx_flotw_bipartition) > 0
+
+
+def test_product_over_roots_staircase():
+    gctx = staircase_context(9, 5)
+    assert len(gctx) == 252
+    assert assert_product_over_roots(gctx) > 0
+
+
+def test_product_over_roots_random_families():
+    rng = random.Random(2024)
+    assert sum(assert_product_over_roots(random_single_residue_context(rng)) for _ in range(40)) > 0
+
+
+def test_segment_memo_is_order_free(gctx_flotw_bipartition):
+    """Two fresh contexts, one filled along the pairs and one against them,
+    give the same numbers and end with the same memo."""
+    base = gctx_flotw_bipartition
+    forward, backward = (build_gamma_set(base.gamma, [0], {0: 6}, base.ctx) for _ in range(2))
+    pairs = forward.comparable_pairs()
+    want = {(lam, mu): nested_decomposition_number(lam, mu, forward).value for lam, mu in pairs}
+    got = {
+        (lam, mu): nested_decomposition_number(lam, mu, backward).value
+        for lam, mu in reversed(pairs)
+    }
+    assert got == want
+    assert backward.segment_norms == forward.segment_norms
