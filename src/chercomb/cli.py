@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: validate, gamma-set, tableaux, delta-char, decomp, terrain,
-chi, transport, tensor-factor, selfcheck.  Results go to stdout or --out
-as json, csv, or latex.  Exit codes: 0 success, 1 validation failure,
-2 computation failure, 3 engine disagreement.
+chi, transport, tensor-factor, selfcheck.  Each command returns its result
+(with an exit code when it can fail after computing), and `main` writes it
+once, to stdout or --out, as json, csv, or latex.  Exit codes: 0 success,
+1 validation failure, 2 computation failure, 3 engine disagreement.
 """
 
 from __future__ import annotations
@@ -42,28 +43,28 @@ from .render import terrain_ascii, terrain_svg
 EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_DISAGREE = 0, 1, 2, 3
 
 
-def _emit(payload, args):
-    """Write the structured payload in the requested format."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    elif fmt == "csv":
-        text = _to_csv(payload)
-    elif fmt == "latex":
-        text = _to_latex(payload)
-    else:
-        raise ValueError(f"unknown format {fmt}")
-    _write(text, args)
+def _emit(result, args):
+    """Write a command's result once, to --out when given, else to stdout.
 
-
-def _write(text, args):
-    """Write text to --out when given, else to stdout."""
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    A drawing is written as it is and a payload in --format: JSON encoded
+    as it is written, CSV and LaTeX built before the file is opened.  An
+    --out that cannot be opened is a validation failure.
+    """
+    if not isinstance(result, str) and args.format != "json":
+        result = _to_csv(result) if args.format == "csv" else _to_latex(result)
+    try:
+        fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise ValidationError(f"--out: {exc}") from exc
+    try:
+        if isinstance(result, str):
+            fh.write(result)
+        else:
+            json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    finally:
+        if args.out:
+            fh.close()
 
 
 def _to_csv(payload) -> str:
@@ -141,8 +142,7 @@ def cmd_validate(args):
     payload["valid"] = True
     if gctx is not None:
         payload["family_size"] = len(gctx)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_gamma_set(args):
@@ -157,8 +157,7 @@ def cmd_gamma_set(args):
         "rows": [[i, json.dumps(multipartition_to_json(m))] for i, m in enumerate(gctx.elements)],
         "columns": ["index", "multipartition"],
     }
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_tableaux(args):
@@ -177,8 +176,7 @@ def cmd_tableaux(args):
         "rows": rows,
         "columns": ["degree", "moved_nodes"],
     }
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_delta_char(args):
@@ -186,8 +184,7 @@ def cmd_delta_char(args):
     lam = _mp_arg(args.shape, "shape", ctx)
     mu = _mp_arg(args.weight, "weight", ctx)
     poly = delta_character(lam, mu, ctx, _pinning(gctx, lam, mu))
-    _emit(_poly_payload(poly), args)
-    return EXIT_OK
+    return _poly_payload(poly)
 
 
 def cmd_decomp(args):
@@ -207,8 +204,7 @@ def cmd_decomp(args):
         payload["engine"] = result.engine
         if result.valid_any_field is not None:
             payload["valid_any_field"] = result.valid_any_field
-        _emit(payload, args)
-        return EXIT_OK
+        return payload
     entries = family_entries(gctx, args.engine)
     index = gctx.index
     cells = sorted((index[lam], index[mu], poly) for (lam, mu), poly in entries.items())
@@ -218,8 +214,7 @@ def cmd_decomp(args):
         "rows": [[i, j, str(poly)] for i, j, poly in cells],
         "columns": ["row", "col", "d"],
     }
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_terrain(args):
@@ -237,8 +232,7 @@ def cmd_terrain(args):
         lam = _mp_arg(args.decorate, "decorate", ctx)
         dt = decorate(word, filled_edges(nodes, mu, lam, residue, ctx))
     if args.render == "svg":
-        _write(terrain_svg(word, dt), args)
-        return EXIT_OK
+        return terrain_svg(word, dt)
     if args.render == "ascii":
         blocks = [terrain_ascii(word, dt)]
         if args.paths:
@@ -246,8 +240,7 @@ def cmd_terrain(args):
                 for p in latticed_paths(dt, pair):
                     blocks.append(f"pair {pair}, norm {p.norm}:")
                     blocks.append(terrain_ascii(word, dt, path=p))
-        _write("\n".join(blocks), args)
-        return EXIT_OK
+        return "\n".join(blocks)
     payload = {
         "residue": residue,
         "steps": [
@@ -259,8 +252,7 @@ def cmd_terrain(args):
         payload["opens"] = list(dt.opens)
         payload["closes"] = list(dt.closes)
         payload["pairs"] = [list(p) for p in dt.pairs]
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_chi(args):
@@ -290,8 +282,7 @@ def cmd_chi(args):
             payload["separating_invariant"] = [
                 [list(x) for x in inv] for inv in report.separating_invariant
             ]
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_transport(args):
@@ -315,8 +306,7 @@ def cmd_transport(args):
             for lam in gctx.elements
         ]
         payload = {"rows": rows, "columns": ["source", "target"]}
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_tensor_factor(args):
@@ -345,10 +335,8 @@ def cmd_tensor_factor(args):
         payload["tableaux_checked"] = report.tableaux_checked
         if not report.ok:
             payload["failure"] = report.failure
-            _emit(payload, args)
-            return EXIT_COMPUTE
-    _emit(payload, args)
-    return EXIT_OK
+            return payload, EXIT_COMPUTE
+    return payload, EXIT_OK
 
 
 def cmd_selfcheck(args):
@@ -362,10 +350,8 @@ def cmd_selfcheck(args):
     }
     if not run.ok:
         payload["failure"] = run.failure
-        _emit(payload, args)
-        return EXIT_DISAGREE
-    _emit(payload, args)
-    return EXIT_OK
+        return payload, EXIT_DISAGREE
+    return payload, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        result = args.func(args)
+        result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+        _emit(result, args)
+        return code
     except EngineDisagreement as exc:
         print(json.dumps({"error": "engine disagreement", "detail": str(exc)}))
         return EXIT_DISAGREE

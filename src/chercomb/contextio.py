@@ -82,8 +82,10 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
         if not isinstance(multiset_doc, dict):
             raise ParseError("multiset: expected an object residue -> count")
         multiset = field_value(
-            "multiset", lambda m: {int(k): exact_int(v) for k, v in m.items()}, multiset_doc
+            "multiset", lambda m: {exact_int(k): exact_int(v) for k, v in m.items()}, multiset_doc
         )
+        if len(multiset) < len(multiset_doc):
+            raise ParseError(f"multiset: keys {sorted(multiset_doc)} name one residue twice")
         if any(v < 0 for v in multiset.values()):
             raise ParseError(f"multiset: counts must be non-negative, got {multiset_doc}")
         if not isinstance(residues, list):

@@ -139,8 +139,15 @@ class GammaContext:
 
     def comparable_pairs(self) -> list[tuple[Multipartition, Multipartition]]:
         """Every (lam, mu) with mu <= lam, diagonal included, lam-major
-        along the order."""
-        return [(lam, mu) for lam in self.elements for mu in self.elements if self.leq(mu, lam)]
+        along the order.  The order is a linear extension, most dominant
+        first, so each mu <= lam sits at or after lam."""
+        elements = self.elements
+        return [
+            (lam, mu)
+            for i, lam in enumerate(elements)
+            for mu in elements[i:]
+            if self.leq(mu, lam)
+        ]
 
     def covers(self) -> list[tuple[Multipartition, Multipartition]]:
         """Every Hasse edge (lam, mu), mu covered by lam, lam-major along

@@ -7,6 +7,7 @@ reduced modulo the quantum characteristic when it is finite.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, NamedTuple
 
 
@@ -20,9 +21,14 @@ class Node(NamedTuple):
 
 
 def exact_int(value) -> int:
-    """int(value), refusing a boolean, and a number with a fractional part
-    rather than truncating it."""
-    if isinstance(value, bool) or (not isinstance(value, str) and value % 1):
+    """int(value), refusing a boolean, a number with a fractional part
+    rather than truncating it, and a string other than plain decimal
+    digits with an optional leading minus (int() would read "1_0" as 10
+    and " 0" as 0)."""
+    if isinstance(value, str):
+        if not re.fullmatch(r"-?[0-9]+", value):
+            raise ValueError(f"expected an integer, got {value!r}")
+    elif isinstance(value, bool) or value % 1:
         raise ValueError(f"expected an integer, got {value}")
     return int(value)
 

@@ -1,8 +1,7 @@
 """Terrain rendering: ASCII for terminals, SVG for everything else.
 
-A latticed path may be supplied in place of the generic walk; its flattened
-steps render as horizontal segments ('_' in ASCII, with the original ridge
-dotted in SVG).
+The ASCII drawing may take a latticed path in place of the generic walk;
+its flattened steps render as '_'.  The SVG draws the generic walk only.
 """
 
 from __future__ import annotations
@@ -52,18 +51,14 @@ def terrain_ascii(
     return "\n".join(line for line in lines if line != "")
 
 
-def terrain_svg(
-    word,
-    dt: DecoratedTerrain | None = None,
-    path: LatticedPath | None = None,
-    scale: int = 24,
-) -> str:
-    steps = path.steps if path is not None else word
-    n = len(steps)
-    heights = prefix_heights(steps)
-    generic_heights = prefix_heights(word)
-    hi = max(generic_heights + heights) if n else 0
-    lo = min(generic_heights + heights) if n else 0
+def terrain_svg(word, dt: DecoratedTerrain | None = None) -> str:
+    """Draw the walk as a polyline through its vertices, decorations above
+    the edges."""
+    scale = 24
+    n = len(word)
+    heights = prefix_heights(word)
+    hi = max(heights)
+    lo = min(heights)
     pad = scale
     width = n * scale + 2 * pad
     height = (hi - lo) * scale + 2 * pad + scale
@@ -79,12 +74,6 @@ def terrain_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2"/>',
     ]
-    if path is not None and heights != generic_heights:
-        ghost = " ".join(f"{x(j)},{y(generic_heights[j])}" for j in range(n + 1))
-        parts.append(
-            f'<polyline points="{ghost}" fill="none" stroke="black" '
-            f'stroke-width="1" stroke-dasharray="4 3"/>'
-        )
     for j in range(n + 1):
         parts.append(f'<circle cx="{x(j)}" cy="{y(heights[j])}" r="3" fill="black"/>')
     for j, mark in _decoration_marks(dt).items():

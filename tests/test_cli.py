@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import chercomb.cli as cli
 import chercomb.peeling as peeling
 from chercomb import LaurentPoly
 from chercomb.cli import build_parser, main
 from chercomb.contextio import context_to_json, parse_context, ParseError
+from chercomb.selfcheck import OracleRun
+from chercomb.tensor import FactorReport
 
 HOOK_CONTEXT = {
     "e": 5,
@@ -374,9 +377,64 @@ def test_csv_format(capsys, hook_file):
 
 def test_out_file(capsys, tmp_path, hook_file):
     dest = tmp_path / "out.json"
+    # stdout and --out carry the same bytes in every format
+    for fmt in ("json", "csv", "latex"):
+        code, printed = run(capsys, "gamma-set", hook_file, "--format", fmt)
+        assert code == 0
+        code, out = run(capsys, "gamma-set", hook_file, "--format", fmt, "--out", str(dest))
+        assert code == 0 and out == ""
+        assert dest.read_bytes() == printed.encode()
     code, _ = run(capsys, "validate", hook_file, "--out", str(dest))
     assert code == 0
     assert json.loads(dest.read_text())["valid"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_named(capsys, tmp_path, hook_file, where):
+    dest = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    code, out = run(capsys, "validate", hook_file, "--out", str(dest))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "validation failure"
+    assert payload["detail"].startswith("--out:")
+
+
+def test_failing_command_leaves_out_untouched(capsys, tmp_path):
+    dest = tmp_path / "out.json"
+    dest.write_text("earlier result\n")
+    bad = json.dumps({**HOOK_CONTEXT, "e": 2})
+    code, out = run(capsys, "validate", bad, "--out", str(dest))
+    assert code == 1 and json.loads(out)["detail"].startswith("e:")
+    assert dest.read_text() == "earlier result\n"
+
+
+def _run_both_ways(capsys, tmp_path, *argv):
+    """Run argv to stdout and to --out; both give one exit code and the same bytes."""
+    code, printed = run(capsys, *argv)
+    dest = tmp_path / "result.json"
+    code_out, out = run(capsys, *argv, "--out", str(dest))
+    assert code_out == code and out == ""
+    assert dest.read_bytes() == printed.encode()
+    return code, json.loads(printed)
+
+
+def test_tensor_factor_verify_failure_writes_payload(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "runner.json"
+    path.write_text(json.dumps(RUNNER_CONTEXT))
+    monkeypatch.setattr(cli, "factor_check", lambda fctx: FactorReport(False, 3, 7, "stub split"))
+    code, payload = _run_both_ways(capsys, tmp_path, "tensor-factor", str(path), "--verify")
+    assert code == 2
+    assert payload["verified"] is False and payload["failure"] == "stub split"
+    assert payload["family_size"] == 20
+
+
+def test_selfcheck_disagreement_writes_payload(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        cli, "cross_validate", lambda count, seed: OracleRun(count, 0, "stub disagreement")
+    )
+    code, payload = _run_both_ways(capsys, tmp_path, "selfcheck", "--count", "2")
+    assert code == 3
+    assert payload == {"contexts": 2, "pairs": 0, "ok": False, "failure": "stub disagreement"}
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -457,8 +515,17 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("g", True),
         ("theta", [True]),
         ("epsilon_display", True),
-        # 5 names residue 0 again at e=5
+        # 5 names residue 0 again at e=5, and so does 00
         ("multiset", {"0": 2, "5": 1}),
+        ("multiset", {"0": 1, "00": 1}),
+        # only plain decimal digits: int() would read 1_0 as 10 and " 0" as 0
+        ("multiset", {"1_0": 1}),
+        ("multiset", {" 0": 1}),
+        ("e", "1_0"),
+        ("e", " 5"),
+        ("multicharge", ["1_0"]),
+        ("residues", [" 0"]),
+        ("gamma", [["5", "1", "1", "1", "1 "]]),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):

@@ -302,3 +302,26 @@ def test_covers_match_brute_force_random_families():
     for _ in range(60):
         gctx = random_single_residue_context(rng)
         assert gctx.covers() == brute_force_covers(gctx), gctx.gamma
+
+
+def assert_comparable_pairs_scan_the_full_square(gctx):
+    """comparable_pairs equals the comprehension over every ordered pair, in
+    the same order, and the family order puts each mu <= lam at or after lam."""
+    elements, index = gctx.elements, gctx.index
+    full = [(lam, mu) for lam in elements for mu in elements if gctx.leq(mu, lam)]
+    assert gctx.comparable_pairs() == full
+    assert all(index[mu] >= index[lam] for lam, mu in full)
+
+
+def test_comparable_pairs_flotw_family(gctx_flotw_bipartition):
+    assert_comparable_pairs_scan_the_full_square(gctx_flotw_bipartition)
+
+
+def test_comparable_pairs_two_residues(gctx_admissible_pair):
+    assert_comparable_pairs_scan_the_full_square(gctx_admissible_pair)
+
+
+def test_comparable_pairs_random_families():
+    rng = random.Random(37)
+    for _ in range(60):
+        assert_comparable_pairs_scan_the_full_square(random_single_residue_context(rng))
