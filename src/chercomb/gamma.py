@@ -74,6 +74,8 @@ class GammaContext:
         self.multiset = multiset
         self.ctx = ctx
         self.addable = addable  # residue -> ordered list of addable nodes
+        # gamma's nodes, each sent to itself: the pinned part of every tableau
+        self.pinned = {node: node for node in gamma.nodes()}
         # member -> residue -> its filled slots, in a linear extension of dominance
         self.positions = positions
         self.elements = list(positions)

@@ -6,7 +6,8 @@ three residue classes i-1, i, i+1 are distinct.  A weighting is valid when
 no difference theta_i - theta_j is an integer multiple of the scale g.
 
 Each context also packs node coordinates into integer keys (`node_key`)
-for the tableau degree's inner loop; see `coords` for the exact order.
+for the tableau degree's inner loop, and lists a shape's keys residue by
+residue (`shape_keys`); see `coords` for the exact order.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ParamContext:
 
     __slots__ = (
         "e", "level", "multicharge", "theta", "g",
-        "key_scale", "ghost_shift", "red_keys", "_keys",
+        "key_scale", "ghost_shift", "red_keys", "_keys", "_shape_keys",
     )
 
     def __init__(self, e, multicharge, theta, g):
@@ -76,6 +77,7 @@ class ParamContext:
         for charge, t in zip(self.multicharge, self.theta):
             self.red_keys.setdefault(charge, []).append(self._scaled(t))
         self._keys = {}
+        self._shape_keys = {}
 
     def _validate(self):
         if self.level < 1:
@@ -144,6 +146,19 @@ class ParamContext:
                 )
             key = self._keys[node] = self._scaled(c.base) + c.eps
         return key
+
+    def shape_keys(self, lam) -> dict[int, list[int]]:
+        """Residue -> ascending node_keys of lam's nodes of that residue,
+        memoized on this context."""
+        keys = self._shape_keys.get(lam)
+        if keys is None:
+            keys = {}
+            for node in lam.nodes():
+                keys.setdefault(self.residue_of(node), []).append(self.node_key(node))
+            for row in keys.values():
+                row.sort()
+            self._shape_keys[lam] = keys
+        return keys
 
     def _scaled(self, q) -> int:
         """The key of the point q + 0*eps."""

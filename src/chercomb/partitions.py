@@ -108,11 +108,30 @@ class Multipartition:
         return Multipartition(comps)
 
     def with_nodes(self, nodes) -> "Multipartition":
-        out = self
-        # sort so that same-column additions of lower rows come first
+        """self with the nodes added in (comp, row) order, so that
+        same-column additions of lower rows come first; each node must be
+        addable to the diagram built so far, as for chained with_node calls.
+        The result is validated once."""
+        parts = [list(part) for part in self.comps]
+
+        def length(part, row):
+            return part[row - 1] if row <= len(part) else 0
+
         for node in sorted(nodes, key=lambda n: (n.comp, n.row)):
-            out = out.with_node(node)
-        return out
+            r, c, k = node
+            part = parts[k - 1] if 1 <= k <= len(parts) else None
+            if (
+                part is None
+                or r < 1
+                or c != length(part, r) + 1
+                or (r > 1 and length(part, r - 1) < c)
+            ):
+                raise ValueError(f"node {node} is not addable to {Multipartition(parts)}")
+            if r > len(part):
+                part.append(1)
+            else:
+                part[r - 1] += 1
+        return Multipartition(parts)
 
     def without_node(self, node: Node) -> "Multipartition":
         if not self.is_removable(node):

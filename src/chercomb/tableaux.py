@@ -18,13 +18,28 @@ The count runs over integer keys, not coordinates: `ParamContext.node_key`
 packs q + m*eps into (q*L)*2^20 + m, L the least common denominator of
 theta and g, which orders exactly as the coordinates do while every eps
 part (row + col) stays below 2^20; a larger node raises ValidationError.
-A ghost shift is one integer subtraction.  Strands are bucketed by
-residue, so a moving strand meets only its own residue and the two next
-to it, and two vertical strands, which never cross, are never compared.
+A ghost shift is one integer subtraction.
+
+Only moving strands (node != target) are visited; two vertical strands
+never cross, so every crossing has a moving strand on one side.  Moving
+strands are grouped by residue, and a moving strand meets only its own
+residue and the two next to it.  Pairs of moving strands are compared
+directly.  The vertical strands of residue r are the shape's residue-r
+nodes less the moving sources, so the ones a moving strand passes are
+counted by bisection in the shape's ascending keys
+(`ParamContext.shape_keys`, memoized per shape), less the moving sources
+in the same range.  No two of a strand, a ghost and a red line share a
+key: a node (r, c) and the ghost of (r', c') in its component would need
+r - c = r' - c' - 1 and r + c = r' + c', which differ in parity; other
+components differ by a non-multiple of g in the base (the weighting's
+validation); and a red line has eps 0.  A vertical key never equals a
+moving strand's end in a bijection, so "strictly between" is exact, and
+a base-pinned tableau costs its moving strands however large its base.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import product
 
@@ -182,7 +197,7 @@ def pinned_tableau(lam, mu, gctx: GammaContext, moves) -> Tableau:
     """The base-pinned tableau of shape lam and weight mu: gamma's nodes
     stay in place and, per residue r, each 1-based slot move (s, t) in
     moves[r] sends lam's added node in slot s to mu's in slot t."""
-    mapping = {node: node for node in gctx.gamma.nodes()}
+    mapping = dict(gctx.pinned)
     for r, pairs in moves.items():
         slots = gctx.addable[r]
         for s, t in pairs:
@@ -218,37 +233,44 @@ def _enumerate_restricted(lam, mu, gctx: GammaContext):
 def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
     """Signed crossing count of the minimal monotone diagram of the tableau."""
     key = ctx.node_key
-    by_res: dict[int, tuple[list, list]] = {}  # residue -> (moving, vertical)
+    moving: dict[int, list] = {}  # residue -> [(source key, target key)]
     for node, target in tab.mapping.items():
-        src, dst = key(node), key(target)
-        moved, still = by_res.setdefault(ctx.residue_of(node), ([], []))
-        if src == dst:
-            still.append(src)
-        else:
-            moved.append((src, dst))
+        if node != target:
+            moving.setdefault(ctx.residue_of(node), []).append((key(node), key(target)))
+    if not moving:
+        return 0
+    shape_keys = ctx.shape_keys(tab.shape)
+    sources = {r: [s for s, _ in strands] for r, strands in moving.items()}
+
+    def vertical_between(r, lo, hi):
+        """Vertical strands of residue r keyed strictly between lo and hi:
+        the shape's residue-r keys there, less the moving sources among them."""
+        keys = shape_keys.get(r, ())
+        inside = bisect_left(keys, hi) - bisect_right(keys, lo)
+        return inside - sum(lo < s < hi for s in sources.get(r, ()))
+
     shift = ctx.ghost_shift
-    empty = ([], [])
     deg = 0
-    for r, (same_moved, same_still) in by_res.items():
-        down_moved, down_still = by_res.get(ctx.residue(r - 1), empty)
-        up_still = by_res.get(ctx.residue(r + 1), empty)[1]
+    for r, same in moving.items():
+        down, up = ctx.residue(r - 1), ctx.residue(r + 1)
+        down_moved = moving.get(down, ())
         reds = ctx.red_keys.get(r, ())
-        for s, t in same_moved:
+        for s, t in same:
+            lo, hi = (s, t) if s < t else (t, s)
             # equal residue: -2 per crossing; each moving pair is met twice
-            deg -= sum((s < s2) != (t < t2) for s2, t2 in same_moved)
-            deg -= 2 * sum((s < k) != (t < k) for k in same_still)
+            deg -= sum((s < s2) != (t < t2) for s2, t2 in same)
+            deg -= 2 * vertical_between(r, lo, hi)
 
             # this strand over the ghost (key - shift) of a strand one
             # residue down: +1; a vertical one residue up over this strand's
             # ghost: +1 (a moving strand over it is counted from its side)
             hs, ht = s + shift, t + shift
             deg += sum((hs < s2) != (ht < t2) for s2, t2 in down_moved)
-            deg += sum((hs < k) != (ht < k) for k in down_still)
-            gs, gt = s - shift, t - shift
-            deg += sum((k < gs) != (k < gt) for k in up_still)
+            deg += vertical_between(down, lo + shift, hi + shift)
+            deg += vertical_between(up, lo - shift, hi - shift)
 
             # black strand over a red line of its own residue: +1
-            deg += sum((s < k) != (t < k) for k in reds)
+            deg += sum(lo < k < hi for k in reds)
     return deg
 
 

@@ -105,6 +105,49 @@ def test_degree_matches_oracle_on_flotw_family():
     assert assert_family_matches(gctx) > 45
 
 
+@pytest.mark.parametrize("family", ["gctx_runner", "gctx_admissible_pair"])
+def test_degree_matches_oracle_on_two_residue_families(family, request):
+    """Strands of residues 1 and 3 move together: the runner family over an
+    empty base, and a base whose pinned nodes carry every residue."""
+    assert assert_family_matches(request.getfixturevalue(family)) == 270
+
+
+def flotw_tableaux(ctx):
+    gamma = mp([7, 5, 3, 1, 1], [5, 5, 4, 2, 2, 1, 1])
+    gctx = build_gamma_set(gamma, [0], {0: 2}, ctx)
+    return [tab for mu in gctx.elements for tab in enumerate_sstd(gctx.top, mu, ctx, gctx)]
+
+
+def test_degree_same_with_shape_keys_memoized():
+    """A degree does not depend on whether the shape's keys were listed
+    before: each fresh context lists them in the call, the warm one once."""
+    params = (3, [2, 1], ["0", "1"], "2")
+    warm = ParamContext(*params)
+    tabs = flotw_tableaux(warm)
+    assert any(node != target for tab in tabs for node, target in tab.mapping.items())
+    for tab in tabs:
+        keys = warm.shape_keys(tab.shape)
+        assert warm.shape_keys(tab.shape) is keys
+        fresh = ParamContext(*params)
+        assert tableau_degree(tab, fresh) == tableau_degree(tab, warm) == fraction_degree(tab, warm)
+
+
+def test_shape_keys_memo_is_per_context():
+    """Contexts that differ only in theta key the same shape apart."""
+    a = ParamContext(3, [2, 1], ["0", "1"], "2")
+    b = ParamContext(3, [2, 1], ["0", "3"], "2")
+    tabs = flotw_tableaux(a)
+    lam = tabs[0].shape
+    assert a.shape_keys(lam) != b.shape_keys(lam)
+    for ctx in (a, b):
+        expected = {}
+        for node in sorted(lam.nodes(), key=ctx.node_coord):
+            expected.setdefault(ctx.residue_of(node), []).append(ctx.node_key(node))
+        assert ctx.shape_keys(lam) == expected
+        for tab in tabs:
+            assert tableau_degree(tab, ctx) == fraction_degree(tab, ctx), tab
+
+
 @pytest.mark.parametrize("seed", [7, 99, 20240])
 def test_degree_matches_oracle_on_random_families(seed):
     rng = random.Random(seed)

@@ -111,6 +111,26 @@ def test_add_remove_round_trip(gctx_admissible_pair):
             assert lam.without_node(node).with_node(node) == lam
 
 
+@pytest.mark.parametrize("seed", [3, 17, 404])
+def test_with_nodes_matches_chained_with_node(seed):
+    rng = random.Random(seed)
+    ctx = ParamContext(None, [0, 2, 5], ["0", "1/3", "4/5"], "3/2")
+    for _ in range(30):
+        lam = Multipartition(
+            [sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 5))), reverse=True) for _ in range(3)]
+        )
+        addable = addable_nodes(lam, ctx)
+        nodes = rng.sample(addable, rng.randint(0, len(addable)))
+        chained = lam
+        for node in sorted(nodes, key=lambda n: (n.comp, n.row)):
+            chained = chained.with_node(node)
+        assert lam.with_nodes(nodes) == chained
+        # a column gap, a row gap, row 0, and a fourth component
+        for bad in (Node(1, 9, 3), Node(9, 1, 2), Node(0, 1, 1), Node(1, 1, 4)):
+            with pytest.raises(ValueError, match=rf"node \({bad.row},{bad.col},{bad.comp}\) is not addable"):
+                lam.with_nodes(nodes + [bad])
+
+
 def test_is_admissible(ctx_admissible_pair):
     ctx, gamma = ctx_admissible_pair
     assert is_admissible(gamma, [1, 3], ctx)
