@@ -205,16 +205,26 @@ def cmd_decomp(args):
         if result.valid_any_field is not None:
             payload["valid_any_field"] = result.valid_any_field
         return payload
-    entries = family_entries(gctx, args.engine)
     index = gctx.index
-    cells = sorted((index[lam], index[mu], poly) for (lam, mu), poly in entries.items())
-    payload = {
+    cells = sorted(
+        (index[lam], index[mu], poly) for (lam, mu), poly in family_entries(gctx, args.engine).items()
+    )
+    # the engine shares equal values, so each distinct one is formatted once
+    # and every entry and row points at its forms
+    text = LaurentPoly.to_latex if args.format == "latex" else str
+    forms, entries, rows = {}, {}, []
+    for i, j, poly in cells:
+        form = forms.get(id(poly))
+        if form is None:
+            form = forms[id(poly)] = (poly.to_sorted_dict(), text(poly))
+        entries[f"{i},{j}"] = form[0]
+        rows.append((i, j, form[1]))
+    return {
         "order": [multipartition_to_json(m) for m in gctx.elements],
-        "entries": {f"{i},{j}": poly.to_sorted_dict() for i, j, poly in cells},
-        "rows": [[i, j, str(poly)] for i, j, poly in cells],
+        "entries": entries,
+        "rows": rows,
         "columns": ["row", "col", "d"],
     }
-    return payload
 
 
 def cmd_terrain(args):

@@ -10,6 +10,7 @@ theta-dominance.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import le
 
 from .loadings import dominates, loading_of, residue_multiset
 from .params import ParamContext
@@ -80,10 +81,20 @@ class GammaContext:
         self.positions = positions
         self.elements = list(positions)
         self.index = {mp: i for i, mp in enumerate(self.elements)}
-        # (filled slots of each residue of S, in residue order) -> member
-        self.by_slots = {tuple(filled[r] for r in addable): lam for lam, filled in positions.items()}
-        # (segment steps, re-based pairs) -> norm generating function of the
-        # segment's well-nested families, filled by the closed formula
+        # member -> its filled slots of every residue of S, concatenated in
+        # residue order (one residue's tuple itself when only it is filled);
+        # every member fills as many slots of each residue as the next
+        self.slots = {lam: sum(filled.values(), ()) for lam, filled in positions.items()}
+        # concatenated slots -> member; a lookup also checks each residue's count
+        self.by_slots = {slots: lam for lam, slots in self.slots.items()}
+        # single residue: member -> one byte per slot, 1 where it is filled
+        self.occupancy = {}
+        if len(multiset) == 1:
+            (r,) = multiset
+            every = range(1, len(addable[r]) + 1)
+            self.occupancy = {lam: bytes(j in filled[r] for j in every) for lam, filled in positions.items()}
+        # root code (see `terrain.root_codes`) -> norm generating function of
+        # the root's well-nested families, filled by the closed formula
         self.segment_norms = {}
 
     # -- basic views ---------------------------------------------------------
@@ -119,25 +130,34 @@ class GammaContext:
 
     # -- added-node bookkeeping ------------------------------------------------
 
+    def _missing(self, lam: Multipartition) -> NotInGamma:
+        return NotInGamma(f"{lam} is not in the index set over {self.gamma}")
+
     def added_positions(self, lam: Multipartition) -> dict[int, tuple[int, ...]]:
         """Per residue of S, the 1-based positions in the addable list of
         lam's added nodes, ascending."""
         positions = self.positions.get(lam)
         if positions is None:
-            raise NotInGamma(f"{lam} is not in the index set over {self.gamma}")
+            raise self._missing(lam)
         return positions
 
     def leq(self, mu: Multipartition, lam: Multipartition) -> bool:
-        """mu <= lam in dominance, tested on added positions.
+        """mu <= lam in dominance, tested on added positions; lam is looked
+        up first, so a non-member lam raises NotInGamma before mu is read.
 
         Within the family, lam dominates mu exactly when, residue by
         residue, the k-th added node of lam sits weakly left of the k-th
-        added node of mu.
+        added node of mu.  Each residue fills the same number of slots in
+        every member, so the concatenated slots line up residue by residue.
         """
-        pa, pb = self.added_positions(lam), self.added_positions(mu)
-        return all(
-            x <= y for r in pa for x, y in zip(pa[r], pb[r])
-        )
+        slots = self.slots
+        above = slots.get(lam)
+        if above is None:
+            raise self._missing(lam)
+        below = slots.get(mu)
+        if below is None:
+            raise self._missing(mu)
+        return all(map(le, above, below))
 
     def comparable_pairs(self) -> list[tuple[Multipartition, Multipartition]]:
         """Every (lam, mu) with mu <= lam, diagonal included, lam-major
@@ -174,8 +194,14 @@ class GammaContext:
         residue; a residue of S left out fills none.  Keys are reduced to
         residues, and two keys naming one residue fill no member."""
         reduced = {self.ctx.residue(r): tuple(slots) for r, slots in positions.items()}
-        lam = self.by_slots.get(tuple(reduced.get(r, ()) for r in self.addable))
-        if lam is None or len(reduced) < len(positions) or not reduced.keys() <= self.addable.keys():
+        filled = [reduced.get(r, ()) for r in self.addable]
+        lam = self.by_slots.get(sum(filled, ()))
+        if (
+            lam is None
+            or len(reduced) < len(positions)
+            or not reduced.keys() <= self.addable.keys()
+            or any(len(slots) != self.multiset.get(r, 0) for r, slots in zip(self.addable, filled))
+        ):
             raise NotInGamma(f"slots {positions} fill no member of the index set over {self.gamma}")
         return lam
 

@@ -167,13 +167,16 @@ def family_entries(gctx: GammaContext, engine: str) -> dict:
     """Nonzero decomposition numbers d[(lam, mu)] over the whole family.
 
     Engines as in decomp_number; 'both' raises EngineDisagreement at the
-    first pair, lam-major along the order, where the engines differ.
+    first pair, lam-major along the order, where the engines differ.  Equal
+    values are one shared LaurentPoly: a family has far fewer distinct
+    decomposition numbers than nonzero entries.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     peeled = gamma_peel_matrix(gctx) if engine != "nested" else None
+    shared: dict = {}
     if engine == "kn":
-        return peeled.d
+        return {pair: shared.setdefault(value, value) for pair, value in peeled.d.items()}
     entries = {}
     for lam, mu in gctx.comparable_pairs():
         value = nested_decomposition_number(lam, mu, gctx).value
@@ -182,7 +185,7 @@ def family_entries(gctx: GammaContext, engine: str) -> dict:
                 f"d[{lam},{mu}]: nested gives {value}, peeling gives {peeled.entry(lam, mu)}"
             )
         if value:
-            entries[(lam, mu)] = value
+            entries[(lam, mu)] = shared.setdefault(value, value)
     return entries
 
 

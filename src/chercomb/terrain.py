@@ -12,20 +12,25 @@ decomposition number.
 
 Decoration, paths and families work on the terrain's +-1 word alone.
 Inside a single-residue family that word is the member's slot word
-(`slot_word`), so the closed-form engine never builds a node; `terrain_of`
+(`slot_word`, one byte per slot in `GammaContext.occupancy`), so the
+closed-form engine never builds a node; `terrain_of`
 and `filled_edges` serve node-level input from outside a family.  Each
 norm is computed once, when its path or family is built.
 
 A path only has to ride above the pair directly enclosing it, so the
 generating function is a product over the outermost pairs, and each factor
-depends only on that pair's stretch of the word and the pairs inside it
-(`root_segments`).  The engine enumerates each distinct segment once per
-family and keeps its norm generating function on the `GammaContext`.
+depends only on that pair's stretch of the word and the pairs inside it.
+The engine reads both off one code per slot, which says whether mu, lam,
+both or neither fill it (`root_codes`): a depth scan of the code cuts the
+outermost pairs, and each root's code substring keys its norm generating
+function on the `GammaContext`, so a root is decorated and its families
+enumerated only the first time the family meets it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ge
 from typing import NamedTuple
 
 from .gamma import GammaContext, NotInGamma, addable_nodes, removable_nodes
@@ -127,26 +132,26 @@ def decorate(steps, filled) -> DecoratedTerrain:
     return DecoratedTerrain(steps, tuple(pairs))
 
 
-def root_segments(dt: DecoratedTerrain):
-    """The decoration cut at its outermost pairs, left to right: for each,
-    its stretch of the word (open edge to close edge) and the pairs inside
-    it, re-based so that the outermost pair is (1, length).
+def root_codes(code: bytes):
+    """The outermost pairs of a decoration given as one code per slot, left
+    to right: for each, its stretch of the code from open to close.
 
-    Pairs are listed as they close, so a pair is outermost exactly when no
-    later one opens earlier, and the pairs inside it are those listed since
-    the previous outermost one.
+    A slot's code is 1 where only the lower weight mu fills it (a close), 2
+    where only the more dominant lam does (an open), 3 where both do and 0
+    where neither does; the code of a dominance-ordered pair balances, so
+    one scan of the nesting depth finds where each outermost pair opens
+    and closes.
     """
-    pairs = dt.pairs
-    roots, first = [], len(dt.steps) + 1
-    for i in reversed(range(len(pairs))):
-        if pairs[i][0] < first:
-            roots.append(i)
-            first = pairs[i][0]
-    start = 0
-    for i in reversed(roots):
-        lo, hi = pairs[i]
-        yield dt.steps[lo - 1 : hi], tuple((a - lo + 1, b - lo + 1) for a, b in pairs[start : i + 1])
-        start = i + 1
+    depth = 0
+    for j, c in enumerate(code):
+        if c == 2:
+            if not depth:
+                start = j
+            depth += 1
+        elif c == 1:
+            depth -= 1
+            if not depth:
+                yield code[start : j + 1]
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ def prefix_heights(steps) -> tuple[int, ...]:
 def latticed_paths(dt: DecoratedTerrain, pair) -> list[LatticedPath]:
     """Closure of the generic path under flattening one generalized ridge
     (up-step, run of zeros, down-step) strictly inside the pair."""
-    if tuple(pair) not in set(dt.pairs):
+    if tuple(pair) not in dt.pairs:
         raise ValueError(f"{pair} is not a pair of the decoration")
     lo, hi = pair
     generic = dt.steps
@@ -219,20 +224,28 @@ def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
     Riding weakly above is transitive, so each path is checked only against
     the pair immediately enclosing it.  Pairs are listed as they close, so
     that pair is the first later one opening earlier, and choosing from the
-    last pair back fixes it first.
+    last pair back fixes it first.  Outside its own pair a path is the
+    generic walk, and flattening only lowers a walk, so the enclosing path
+    is compared on the inner pair's stretch alone.
     """
-    pairs = list(dt.pairs)
+    pairs = dt.pairs
     options = [latticed_paths(dt, p) for p in pairs]
     heights = [[prefix_heights(p.steps) for p in opts] for opts in options]
     choices = [()]  # choices for pairs i.. onwards
     for i in reversed(range(len(pairs))):
-        outer = next((j for j in range(i + 1, len(pairs)) if pairs[j][0] < pairs[i][0]), None)
+        lo, hi = pairs[i]
+        outer = next((j for j in range(i + 1, len(pairs)) if pairs[j][0] < lo), None)
+        if outer is None:
+            choices = [(c,) + rest for rest in choices for c in range(len(options[i]))]
+            continue
+        inner = [h[lo:hi] for h in heights[i]]
+        below = [h[lo:hi] for h in heights[outer]]
+        k = outer - i - 1
         choices = [
             (c,) + rest
             for rest in choices
-            for c, h in enumerate(heights[i])
-            if outer is None
-            or all(x >= y for x, y in zip(h, heights[outer][rest[outer - i - 1]]))
+            for c, h in enumerate(inner)
+            if all(map(ge, h, below[rest[k]]))
         ]
     families = [WellNestedFamily(tuple(opts[c] for opts, c in zip(options, cs))) for cs in choices]
     families.sort(key=lambda f: (-f.norm, tuple(p.steps for p in f.paths)))
@@ -258,8 +271,11 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     A path is checked only against the pair directly enclosing it, so the
     families are independent choices under each outermost pair, and their
     norms add: the generating function is the product, over outermost
-    pairs, of the norm generating function of that pair's segment.  Each
-    distinct segment is enumerated once per family, in `gctx.segment_norms`.
+    pairs, of the norm generating function of that pair's stretch, its
+    root.  lam's and mu's slots merge into one code per slot
+    (`root_codes`), and a root's code fixes its word and its pairs, so each
+    distinct root is decorated and enumerated once per family, in
+    `gctx.segment_norms`.
     """
     if not gctx.single_residue:
         raise NotInGamma("the closed formula needs a single-residue context")
@@ -269,14 +285,18 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     # leq reads lam's positions, then mu's: a non-member raises NotInGamma, lam first
     if not gctx.leq(mu, lam):
         return NestedResult(LaurentPoly.zero(), field_validity(gctx))
-    dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[gctx.residue])
+    # one byte per slot, each 0 or 1, so the sum carries nothing between slots
+    below, above = gctx.occupancy[mu], gctx.occupancy[lam]
+    code = (int.from_bytes(below) + 2 * int.from_bytes(above)).to_bytes(len(below))
     value = None  # lam != mu, so there is at least one pair
-    for segment in root_segments(dt):
-        norms = gctx.segment_norms.get(segment)
+    for root in root_codes(code):
+        norms = gctx.segment_norms.get(root)
         if norms is None:
+            steps = tuple(1 if c & 1 else -1 for c in root)
+            dt = decorate(steps, {j for j, c in enumerate(root, start=1) if c & 2})
             coeffs: dict[int, int] = {}
-            for fam in well_nested_families(DecoratedTerrain(*segment)):
+            for fam in well_nested_families(dt):
                 coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
-            norms = gctx.segment_norms[segment] = LaurentPoly(coeffs)
+            norms = gctx.segment_norms[root] = LaurentPoly(coeffs)
         value = norms if value is None else value * norms
     return NestedResult(value, field_validity(gctx))

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,24 @@ def test_decomp_matrix_flotw3_golden(capsys, tmp_path, flotw2_file):
     assert code == 0
     assert len(json.loads(out)["order"]) == 120
     assert md5(out) == "558234e5c07cc9a8fb4b6953b0d05eb8"
+    # rows are written from shared forms; the CSV keeps its bytes
+    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", "both", "--format", "csv")
+    assert code == 0
+    assert md5(out) == "35ebdbd94d34eaeed90eedbc90028673"
+
+
+def test_decomp_matrix_latex_cells(capsys, tmp_path, flotw2_file):
+    # the 210-member FLOTW family: exponents of 10 and more are braced
+    with open(flotw2_file) as fh:
+        context = json.load(fh)
+    path = tmp_path / "flotw6.json"
+    path.write_text(json.dumps(dict(context, multiset={"0": 6})))
+    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", "nested", "--format", "latex")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "\\begin{array}{lll}" and lines[-1] == "\\end{array}"
+    assert "0 & 58 & t^{6}+2t^{8}+t^{10} \\\\" in lines
+    assert not any("*" in line or re.search(r"\^\d", line) for line in lines)
 
 
 @pytest.mark.parametrize("engine", ["nested", "kn", "both"])

@@ -293,6 +293,17 @@ def test_element_from_positions_reduces_residue_keys(ctx_e5):
     assert gctx.element_from_positions({-5: (1, 2)}) == lam
 
 
+def test_element_from_positions_keeps_residues_apart(gctx_admissible_pair):
+    # moving a slot from one residue's tuple to the other's keeps the
+    # concatenation, but fills no member
+    gctx = gctx_admissible_pair
+    for lam in gctx.elements:
+        filled = gctx.added_positions(lam)
+        assert gctx.element_from_positions(filled) is lam
+        with pytest.raises(NotInGamma):
+            gctx.element_from_positions({1: filled[1] + filled[3][:1], 3: filled[3][1:]})
+
+
 def brute_force_covers(gctx):
     """Hasse edges from the definition: mu < lam with nothing strictly
     between, lam-major along the order."""
@@ -345,3 +356,35 @@ def test_comparable_pairs_random_families():
     rng = random.Random(37)
     for _ in range(60):
         assert_comparable_pairs_scan_the_full_square(random_single_residue_context(rng))
+
+
+def test_leq_matches_per_residue_definition_two_residues(gctx_admissible_pair):
+    """The concatenated slots compare as the positions do, residue by
+    residue, on every ordered pair."""
+    gctx = gctx_admissible_pair
+    assert len(gctx.multiset) == 2
+    below = 0
+    for lam in gctx.elements:
+        pa = gctx.added_positions(lam)
+        for mu in gctx.elements:
+            pb = gctx.added_positions(mu)
+            want = all(x <= y for r in pa for x, y in zip(pa[r], pb[r], strict=True))
+            assert gctx.leq(mu, lam) == want, (lam, mu)
+            below += want
+    assert len(gctx) < below < len(gctx) ** 2
+
+
+def test_leq_rejects_non_members_lam_first(gctx_admissible_pair):
+    gctx = gctx_admissible_pair
+    outside = [gctx.gamma, empty_multipartition(gctx.gamma.level)]
+    assert not any(x in gctx for x in outside)
+
+    def named(x):
+        return "^" + re.escape(f"{x} is not in the index set")
+
+    with pytest.raises(NotInGamma, match=named(outside[1])):
+        gctx.leq(outside[0], outside[1])
+    with pytest.raises(NotInGamma, match=named(outside[0])):
+        gctx.leq(outside[0], gctx.top)
+    with pytest.raises(NotInGamma, match=named(outside[0])):
+        gctx.leq(gctx.top, outside[0])

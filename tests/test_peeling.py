@@ -137,6 +137,14 @@ def test_family_entries_engines(gctx_hook):
         family_entries(gctx_hook, "lattice")
 
 
+def test_family_entries_share_equal_values(gctx_flotw_bipartition, gctx_hook):
+    entries = family_entries(gctx_flotw_bipartition, "nested")
+    assert len(entries) == 13860
+    assert len({id(v) for v in entries.values()}) == len(set(entries.values())) == 169
+    kn = family_entries(gctx_hook, "kn")
+    assert len({id(v) for v in kn.values()}) == len(set(kn.values())) == 3
+
+
 def _linear_extension(gctx, pick):
     """A linear extension of the family's dominance order that takes
     maximal[pick] among the maximal members left at each step."""

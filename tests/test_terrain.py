@@ -22,7 +22,7 @@ from chercomb import (
 )
 from chercomb.gamma import strip_residues
 from chercomb.selfcheck import random_single_residue_context
-from chercomb.terrain import root_segments
+from chercomb.terrain import root_codes
 
 
 def directions(terrain):
@@ -107,13 +107,47 @@ def test_decorate_rejects_step_other_than_unit():
         decorate((-1, 2), {1})
 
 
-def test_root_segments_cut_at_outermost_pairs():
+def test_root_codes_cut_at_outermost_pairs():
+    # mu fills slots 3, 4 and 6, lam fills 1, 2 and 5
     dt = decorate((-1, -1, 1, 1, -1, 1), {1, 2, 5})
     assert dt.pairs == ((2, 3), (1, 4), (5, 6))
-    assert list(root_segments(dt)) == [
-        ((-1, -1, 1, 1), ((2, 3), (1, 4))),
-        ((-1, 1), ((1, 2),)),
-    ]
+    assert list(root_codes(bytes([2, 2, 1, 1, 2, 1]))) == [bytes([2, 2, 1, 1]), bytes([2, 1])]
+    # slots both fill (3) or neither fills (0) lie inside or between roots
+    code = bytes([0, 2, 3, 1, 0, 3, 2, 0, 2, 1, 1, 3])
+    assert list(root_codes(code)) == [bytes([2, 3, 1]), bytes([2, 0, 2, 1, 1])]
+
+
+def outermost_pairs(dt):
+    """The decoration's pairs that no other pair contains, left to right."""
+    return sorted(p for p in dt.pairs if not any(o[0] < p[0] and p[1] < o[1] for o in dt.pairs))
+
+
+def pairs_within(dt, lo, hi):
+    """The decoration's pairs inside the stretch lo..hi, re-based to start at 1."""
+    return tuple((a - lo + 1, b - lo + 1) for a, b in dt.pairs if lo <= a and b <= hi)
+
+
+def test_root_codes_match_outermost_pairs(gctx_flotw_bipartition):
+    """On every comparable pair the code cut gives the stretches of the
+    decoration's outermost pairs, and each root's code decorates to the
+    pairs inside it, re-based."""
+    gctx = gctx_flotw_bipartition
+    split = 0
+    for lam, mu in gctx.comparable_pairs():
+        word, filled = slot_word(mu, gctx), gctx.added_positions(lam)[0]
+        dt = decorate(word, filled)
+        code = bytes((s == 1) + 2 * (j in filled) for j, s in enumerate(word, start=1))
+        roots = list(root_codes(code))
+        outer = outermost_pairs(dt)
+        assert roots == [code[lo - 1 : hi] for lo, hi in outer], (lam, mu)
+        for root, (lo, hi) in zip(roots, outer):
+            inside = decorate(
+                tuple(1 if c & 1 else -1 for c in root), {j for j, c in enumerate(root, start=1) if c & 2}
+            )
+            assert inside.steps == word[lo - 1 : hi]
+            assert inside.pairs == pairs_within(dt, lo, hi)
+        split += len(roots) > 1
+    assert split > 0
 
 
 def test_decoration_reversed_raises(ctx_level10, decoration_pair, node_decorate):
@@ -390,7 +424,7 @@ def assert_product_over_roots(gctx):
         for fam in well_nested_families(dt):
             coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
         assert nested_decomposition_number(lam, mu, gctx).value == LaurentPoly(coeffs), (lam, mu)
-        split += len(list(root_segments(dt))) > 1
+        split += len(outermost_pairs(dt)) > 1
     return split
 
 
@@ -431,3 +465,17 @@ def test_segment_memo_is_order_free(gctx_flotw_bipartition):
     }
     assert got == want
     assert backward.segment_norms == forward.segment_norms
+
+
+def test_segment_memo_holds_each_distinct_root_once(gctx_flotw_bipartition):
+    """After the whole FLOTW matrix the memo holds one entry per distinct
+    root: as many as the distinct (segment word, re-based pairs) keys the
+    decorations cut into."""
+    base = gctx_flotw_bipartition
+    gctx = build_gamma_set(base.gamma, [0], {0: 6}, base.ctx)
+    segments = set()
+    for lam, mu in gctx.comparable_pairs():
+        nested_decomposition_number(lam, mu, gctx)
+        dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[0])
+        segments.update((dt.steps[lo - 1 : hi], pairs_within(dt, lo, hi)) for lo, hi in outermost_pairs(dt))
+    assert len(gctx.segment_norms) == len(segments) == 2342
