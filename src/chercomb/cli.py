@@ -47,8 +47,10 @@ def _emit(result, args):
     """Write a command's result once, to --out when given, else to stdout.
 
     A drawing is written as it is and a payload in --format: JSON encoded
-    as it is written, CSV and LaTeX built before the file is opened.  An
-    --out that cannot be opened is a validation failure.
+    as it is written, CSV and LaTeX built before the file is opened.  A
+    LaurentPoly cell of a row is written in the format's form: to_latex in
+    LaTeX, its plain form otherwise.  An --out that cannot be opened is a
+    validation failure.
     """
     if not isinstance(result, str) and args.format != "json":
         result = _to_csv(result) if args.format == "csv" else _to_latex(result)
@@ -60,11 +62,28 @@ def _emit(result, args):
         if isinstance(result, str):
             fh.write(result)
         else:
-            json.dump(result, fh, indent=2, sort_keys=True)
+            json.dump(result, fh, indent=2, sort_keys=True, default=_poly_text(str))
         fh.write("\n")
     finally:
         if args.out:
             fh.close()
+
+
+def _poly_text(render):
+    """The text of a LaurentPoly cell, rendered once per distinct object:
+    the cells of a matrix share their equal values.  As the JSON encoder's
+    default it refuses any other object, as the encoder does."""
+    texts = {}
+
+    def text(poly):
+        if not isinstance(poly, LaurentPoly):
+            raise TypeError(f"Object of type {type(poly).__name__} is not JSON serializable")
+        form = texts.get(id(poly))
+        if form is None:
+            form = texts[id(poly)] = render(poly)
+        return form
+
+    return text
 
 
 def _to_csv(payload) -> str:
@@ -75,8 +94,9 @@ def _to_csv(payload) -> str:
     lines = []
     if header:
         lines.append(",".join(header))
+    text = _poly_text(str)
     for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
+        lines.append(",".join(_csv_cell(text(x) if isinstance(x, LaurentPoly) else x) for x in row))
     return "\n".join(lines)
 
 
@@ -94,8 +114,9 @@ def _to_latex(payload) -> str:
     if rows is None:
         return json.dumps(payload)
     lines = ["\\begin{array}{%s}" % ("l" * len(payload["columns"]))]
+    text = _poly_text(LaurentPoly.to_latex)
     for row in rows:
-        lines.append(" & ".join(str(x) for x in row) + " \\\\")
+        lines.append(" & ".join(text(x) if isinstance(x, LaurentPoly) else str(x) for x in row) + " \\\\")
     lines.append("\\end{array}")
     return "\n".join(lines)
 
@@ -209,16 +230,15 @@ def cmd_decomp(args):
     cells = sorted(
         (index[lam], index[mu], poly) for (lam, mu), poly in family_entries(gctx, args.engine).items()
     )
-    # the engine shares equal values, so each distinct one is formatted once
-    # and every entry and row points at its forms
-    text = LaurentPoly.to_latex if args.format == "latex" else str
-    forms, entries, rows = {}, {}, []
+    # the engine shares equal values: each distinct one gets one coefficient
+    # dict, and every row holds the shared value, which the writer renders
+    coefficients, entries, rows = {}, {}, []
     for i, j, poly in cells:
-        form = forms.get(id(poly))
-        if form is None:
-            form = forms[id(poly)] = (poly.to_sorted_dict(), text(poly))
-        entries[f"{i},{j}"] = form[0]
-        rows.append((i, j, form[1]))
+        coeffs = coefficients.get(id(poly))
+        if coeffs is None:
+            coeffs = coefficients[id(poly)] = poly.to_sorted_dict()
+        entries[f"{i},{j}"] = coeffs
+        rows.append((i, j, poly))
     return {
         "order": [multipartition_to_json(m) for m in gctx.elements],
         "entries": entries,

@@ -85,8 +85,8 @@ class GammaContext:
         # residue order (one residue's tuple itself when only it is filled);
         # every member fills as many slots of each residue as the next
         self.slots = {lam: sum(filled.values(), ()) for lam, filled in positions.items()}
-        # concatenated slots -> member; a lookup also checks each residue's count
-        self.by_slots = {slots: lam for lam, slots in self.slots.items()}
+        # (filled slots of each residue of S, in residue order) -> member
+        self.by_slots = {tuple(filled[r] for r in addable): lam for lam, filled in positions.items()}
         # single residue: member -> one byte per slot, 1 where it is filled
         self.occupancy = {}
         if len(multiset) == 1:
@@ -194,14 +194,8 @@ class GammaContext:
         residue; a residue of S left out fills none.  Keys are reduced to
         residues, and two keys naming one residue fill no member."""
         reduced = {self.ctx.residue(r): tuple(slots) for r, slots in positions.items()}
-        filled = [reduced.get(r, ()) for r in self.addable]
-        lam = self.by_slots.get(sum(filled, ()))
-        if (
-            lam is None
-            or len(reduced) < len(positions)
-            or not reduced.keys() <= self.addable.keys()
-            or any(len(slots) != self.multiset.get(r, 0) for r, slots in zip(self.addable, filled))
-        ):
+        lam = self.by_slots.get(tuple(reduced.get(r, ()) for r in self.addable))
+        if lam is None or len(reduced) < len(positions) or not reduced.keys() <= self.addable.keys():
             raise NotInGamma(f"slots {positions} fill no member of the index set over {self.gamma}")
         return lam
 

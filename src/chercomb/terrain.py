@@ -287,7 +287,7 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
         return NestedResult(LaurentPoly.zero(), field_validity(gctx))
     # one byte per slot, each 0 or 1, so the sum carries nothing between slots
     below, above = gctx.occupancy[mu], gctx.occupancy[lam]
-    code = (int.from_bytes(below) + 2 * int.from_bytes(above)).to_bytes(len(below))
+    code = (int.from_bytes(below, "big") + 2 * int.from_bytes(above, "big")).to_bytes(len(below), "big")
     value = None  # lam != mu, so there is at least one pair
     for root in root_codes(code):
         norms = gctx.segment_norms.get(root)

@@ -293,17 +293,6 @@ def test_element_from_positions_reduces_residue_keys(ctx_e5):
     assert gctx.element_from_positions({-5: (1, 2)}) == lam
 
 
-def test_element_from_positions_keeps_residues_apart(gctx_admissible_pair):
-    # moving a slot from one residue's tuple to the other's keeps the
-    # concatenation, but fills no member
-    gctx = gctx_admissible_pair
-    for lam in gctx.elements:
-        filled = gctx.added_positions(lam)
-        assert gctx.element_from_positions(filled) is lam
-        with pytest.raises(NotInGamma):
-            gctx.element_from_positions({1: filled[1] + filled[3][:1], 3: filled[3][1:]})
-
-
 def brute_force_covers(gctx):
     """Hasse edges from the definition: mu < lam with nothing strictly
     between, lam-major along the order."""
