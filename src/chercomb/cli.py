@@ -211,12 +211,6 @@ def cmd_delta_char(args):
 def cmd_decomp(args):
     ctx, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
-    if args.engine != "kn" and not gctx.single_residue:
-        residues = ", ".join(map(str, sorted(gctx.multiset)))
-        raise ValidationError(
-            f"context: the family adds residues {residues}, but --engine {args.engine} runs the"
-            " closed formula, which needs a single residue; --engine kn applies"
-        )
     if args.pair:
         lam = _mp_arg(args.pair[0], "--pair", ctx)
         mu = _mp_arg(args.pair[1], "--pair", ctx)

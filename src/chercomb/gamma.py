@@ -87,12 +87,12 @@ class GammaContext:
         self.slots = {lam: sum(filled.values(), ()) for lam, filled in positions.items()}
         # (filled slots of each residue of S, in residue order) -> member
         self.by_slots = {tuple(filled[r] for r in addable): lam for lam, filled in positions.items()}
-        # single residue: member -> one byte per slot, 1 where it is filled
-        self.occupancy = {}
-        if len(multiset) == 1:
-            (r,) = multiset
-            every = range(1, len(addable[r]) + 1)
-            self.occupancy = {lam: bytes(j in filled[r] for j in every) for lam, filled in positions.items()}
+        # member -> one byte per slot, 1 where it is filled, concatenated
+        # over the residues of S in residue order, as `slots` is
+        self.occupancy = {
+            lam: bytes(j in filled[r] for r, nodes in addable.items() for j in range(1, len(nodes) + 1))
+            for lam, filled in positions.items()
+        }
         # root code (see `terrain.root_codes`) -> norm generating function of
         # the root's well-nested families, filled by the closed formula
         self.segment_norms = {}
@@ -107,10 +107,6 @@ class GammaContext:
     @property
     def bottom(self) -> Multipartition:
         return self.elements[-1]
-
-    @property
-    def single_residue(self) -> bool:
-        return len(self.multiset) <= 1
 
     @property
     def residue(self) -> int:
@@ -210,7 +206,7 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
     residue_set = ctx.check_adjacency_free(residues)
     if not is_admissible(gamma, residue_set, ctx):
         raise NotAdmissible(
-            f"{gamma} has removable nodes of residues {sorted(residue_set)}"
+            f"gamma: {gamma} has removable nodes of residues {sorted(residue_set)}"
         )
     counts = {ctx.residue(r): exact_int(m) for r, m in multiset.items()}
     if len(counts) < len(multiset):
@@ -218,13 +214,13 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
     multiset = {r: m for r, m in counts.items() if m != 0}
     for r in multiset:
         if r not in residue_set:
-            raise ValueError(f"multiset residue {r} is not in S = {sorted(residue_set)}")
+            raise ValueError(f"multiset: residue {r} is not in S = {sorted(residue_set)}")
 
     addable = {r: addable_nodes(gamma, ctx, [r]) for r in sorted(residue_set)}
     for r, m in multiset.items():
         if m > len(addable[r]):
             raise MultisetTooLarge(
-                f"need {m} nodes of residue {r} but only {len(addable[r])} are addable"
+                f"multiset: need {m} nodes of residue {r} but only {len(addable[r])} are addable"
             )
 
     # Dominance pushes every point weakly left, so the componentwise sum of

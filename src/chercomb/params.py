@@ -118,7 +118,7 @@ class ParamContext:
             for b in res:
                 if self.residues_adjacent(a, b):
                     raise AdjacencyViolation(
-                        f"residue set {sorted(res)} contains adjacent residues {a}, {b}"
+                        f"residues: {sorted(res)} contains adjacent residues {a}, {b}"
                     )
         return res
 

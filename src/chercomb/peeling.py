@@ -204,9 +204,10 @@ class DecompResult(NamedTuple):
 def decomp_number(lam, mu, gctx: GammaContext, engine: str = "both") -> DecompResult:
     """Graded decomposition number d_{lam,mu} by the chosen engine.
 
-    Engine 'nested' is the closed lattice-path formula (single-residue
-    contexts), 'kn' the character-peeling recursion, 'both' runs the two
-    independently and insists on exact agreement.
+    Engine 'nested' is the closed lattice-path formula, 'kn' the
+    character-peeling recursion, 'both' runs the two independently and
+    insists on exact agreement.  valid_any_field is field_validity's flag,
+    None when several residues are added.
     """
     gctx.require(lam)
     gctx.require(mu)
@@ -223,5 +224,4 @@ def decomp_number(lam, mu, gctx: GammaContext, engine: str = "both") -> DecompRe
             f"d[{lam},{mu}]: nested gives {nested.value}, peeling gives {peeled}"
         )
     value = nested.value if nested is not None else peeled
-    flag = field_validity(gctx) if gctx.single_residue else None
-    return DecompResult(value, engine, nested.value if nested else None, peeled, flag)
+    return DecompResult(value, engine, nested.value if nested else None, peeled, field_validity(gctx))

@@ -11,11 +11,11 @@ The norms of well-nested families are the exponents of the graded
 decomposition number.
 
 Decoration, paths and families work on the terrain's +-1 word alone.
-Inside a single-residue family that word is the member's slot word
-(`slot_word`, one byte per slot in `GammaContext.occupancy`), so the
-closed-form engine never builds a node; `terrain_of`
-and `filled_edges` serve node-level input from outside a family.  Each
-norm is computed once, when its path or family is built.
+Inside a family, a residue's word is the member's slot word (`slot_word`),
+which `GammaContext.occupancy` holds as one byte per slot, so the
+closed-form engine never builds a node; `terrain_of` and `filled_edges`
+serve node-level input from outside a family.  Each norm is computed once,
+when its path or family is built.
 
 A path only has to ride above the pair directly enclosing it, so the
 generating function is a product over the outermost pairs, and each factor
@@ -25,6 +25,12 @@ both or neither fill it (`root_codes`): a depth scan of the code cuts the
 outermost pairs, and each root's code substring keys its norm generating
 function on the `GammaContext`, so a root is decorated and its families
 enumerated only the first time the family meets it.
+
+When several residues are added, the code is the residues' codes
+concatenated.  mu <= lam holds residue by residue, so each residue's
+stretch balances and no outermost pair crosses between residues: the
+product over roots is the entrywise product of the single-residue
+matrices, as the tensor factorization (`tensor`) requires.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 from operator import ge
 from typing import NamedTuple
 
-from .gamma import GammaContext, NotInGamma, addable_nodes, removable_nodes
+from .gamma import GammaContext, addable_nodes, removable_nodes
 from .laurent import LaurentPoly
 from .params import ParamContext
 from .partitions import Multipartition
@@ -254,13 +260,17 @@ def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
 
 class NestedResult(NamedTuple):
     value: LaurentPoly
-    valid_any_field: bool
+    valid_any_field: bool | None
 
 
-def field_validity(gctx: GammaContext) -> bool:
-    """The closed formula holds over every field when the working residue
-    appears at most once in the multicharge, or when nothing is added;
-    otherwise it is guaranteed over the complex numbers only."""
+def field_validity(gctx: GammaContext) -> bool | None:
+    """True when the closed formula holds over every field: nothing is
+    added, or the one added residue appears at most once in the
+    multicharge.  False when it appears more often: the formula is then
+    guaranteed over the complex numbers only.  None when several residues
+    are added, a case the paper's statement does not cover."""
+    if len(gctx.multiset) > 1:
+        return None
     return not gctx.multiset or gctx.ctx.multicharge.count(gctx.residue) <= 1
 
 
@@ -277,8 +287,6 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     distinct root is decorated and enumerated once per family, in
     `gctx.segment_norms`.
     """
-    if not gctx.single_residue:
-        raise NotInGamma("the closed formula needs a single-residue context")
     if lam == mu:
         gctx.require(lam)
         return NestedResult(LaurentPoly.one(), field_validity(gctx))

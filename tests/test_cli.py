@@ -545,6 +545,11 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("multicharge", ["1_0"]),
         ("residues", [" 0"]),
         ("gamma", [["5", "1", "1", "1", "1 "]]),
+        # faults of the family as a whole name the field that causes them
+        ("residues", [1, 2]),
+        ("multiset", {"0": 5}),
+        ("multiset", {"3": 1}),
+        ("gamma", [[1]]),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):
@@ -605,22 +610,29 @@ def test_context_error_names_argument(capsys, argv, name):
 
 
 @pytest.mark.parametrize(
-    "engine, mode",
+    "context, digest",
     [
-        ("both", ["--matrix"]),
-        ("nested", ["--matrix"]),
-        ("both", ["--pair", "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]"]),
+        (RUNNER, "506c47e94e9730ea175dab490e190e2b"),
+        (json.dumps(PAIR_CONTEXT), "c502f510c1119f439043be6d611a7dad"),
     ],
-    ids=["both-matrix", "nested-matrix", "both-pair"],
+    ids=["runner", "criterion-3"],
 )
-def test_decomp_closed_formula_needs_single_residue(capsys, engine, mode):
-    code, out = run(capsys, "decomp", RUNNER, *mode, "--engine", engine)
-    assert code == 1
-    detail = json.loads(out)["detail"]
-    assert detail.startswith("context: ") and "residues 1, 3" in detail
-    assert f"--engine {engine}" in detail and "--engine kn applies" in detail
-    code, out = run(capsys, "decomp", RUNNER, *mode, "--engine", "kn")
+def test_decomp_matrix_several_residues(capsys, context, digest):
+    """The closed formula serves a two-residue family: every engine writes
+    the same bytes."""
+    for engine in ("nested", "both", "kn"):
+        code, out = run(capsys, "decomp", context, "--matrix", "--engine", engine)
+        assert code == 0
+        assert md5(out) == digest, engine
+
+
+def test_decomp_pair_several_residues(capsys):
+    # the paper states no field rule for several residues: no flag is written
+    lam, mu = "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]"
+    code, out = run(capsys, "decomp", RUNNER, "--pair", lam, mu, "--engine", "both")
     assert code == 0
+    payload = json.loads(out)
+    assert payload["pretty"] == "t^4" and "valid_any_field" not in payload
 
 
 @pytest.mark.parametrize(

@@ -62,3 +62,10 @@ def test_no_dead_definitions():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert not dead, f"defined but never named outside the package __init__: {dead}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_parses_as_python_3_10(path):
+    """pyproject.toml declares requires-python >=3.10: no module may use
+    syntax added after 3.10, such as `except*`."""
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))

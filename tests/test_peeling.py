@@ -1,4 +1,7 @@
+import random
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +11,10 @@ from chercomb import (
     NonSaturatedPoset,
     ParamContext,
     PositivityViolation,
+    addable_nodes,
     build_gamma_set,
     decomp_number,
+    empty_multipartition,
     family_entries,
     gamma_peel_matrix,
     interval_peel_matrix,
@@ -17,6 +22,7 @@ from chercomb import (
     peel_matrix,
     verify_reassembly,
 )
+from chercomb.gamma import strip_residues
 from chercomb.peeling import gamma_characters
 
 
@@ -188,3 +194,65 @@ def test_peel_asks_each_pair_once(gctx_admissible_pair):
     peel_matrix(gctx.elements, gctx.leq, characters)
     elements = gctx.elements
     assert asked == Counter({(lam, mu): 1 for lam in elements for mu in elements if lam != mu})
+
+
+def random_two_residue_context(rng):
+    """Draw a family of at most 40 members adding nodes of two non-adjacent
+    residues, each with two to five slots, over a random base."""
+    while True:
+        e = rng.choice([4, 5, 6, None])
+        level = rng.randint(1, 3)
+        multicharge = [rng.randrange(e or 7) for _ in range(level)]
+        g = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))
+        if rng.random() < 0.5:
+            theta = [(20 * g + Fraction(1, 3)) * k for k in range(level)]  # well-separated
+        else:
+            theta = [Fraction(k, level + 1) * g for k in range(level)]  # FLOTW-style
+        try:
+            ctx = ParamContext(e, multicharge, theta, g)
+        except ValueError:
+            continue
+        comps = [sorted((rng.randint(1, 5) for _ in range(rng.randint(0, 4))), reverse=True) for _ in range(level)]
+        base = mp(*comps)
+        present = sorted({ctx.residue_of(node) for node in addable_nodes(base, ctx)})
+        apart = [(a, b) for a, b in combinations(present, 2) if not ctx.residues_adjacent(a, b)]
+        if not apart:
+            continue
+        residues = rng.choice(apart)
+        base = strip_residues(base, residues, ctx)
+        slots = {r: len(addable_nodes(base, ctx, [r])) for r in residues}
+        if all(2 <= a <= 5 for a in slots.values()):
+            # a residue filling all its slots or none would leave one factor trivial
+            multiset = {r: rng.randint(1, a - 1) for r, a in slots.items()}
+            gctx = build_gamma_set(base, residues, multiset, ctx)
+            if len(gctx) <= 40:
+                return gctx
+
+
+def mixed_entries(entries) -> int:
+    """How many entries are not a single power of t."""
+    return sum(list(value.coeffs.values()) != [1] for value in entries.values())
+
+
+def test_engines_agree_on_random_two_residue_families():
+    rng = random.Random(404)
+    pairs = mixed = 0
+    for _ in range(40):
+        gctx = random_two_residue_context(rng)
+        assert len(gctx.multiset) == 2
+        nested = family_entries(gctx, "nested")
+        assert nested == family_entries(gctx, "kn"), gctx.gamma
+        pairs += len(nested) - len(gctx)
+        mixed += mixed_entries(nested)
+    assert pairs > 1000 and mixed > 100
+
+
+def test_engines_agree_on_level10_two_residue_family():
+    """e=5, charges (0, 2) five times over an empty base: five slots of
+    each residue, three 0-nodes and two 2-nodes added."""
+    ctx = ParamContext(5, [0, 2] * 5, [f"{j}/11" for j in range(10)], "1")
+    gctx = build_gamma_set(empty_multipartition(10), [0, 2], {0: 3, 2: 2}, ctx)
+    assert len(gctx) == 100
+    nested = family_entries(gctx, "nested")
+    assert nested == family_entries(gctx, "kn")
+    assert len(nested) == 2500 and mixed_entries(nested) == 475

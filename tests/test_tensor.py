@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from chercomb import (
     LaurentPoly,
     ParamContext,
@@ -8,6 +10,7 @@ from chercomb import (
     factor_check,
     factor_context,
     mp,
+    nested_decomposition_number,
     psi_inverse,
     psi_multipartition,
     psi_tableau,
@@ -28,6 +31,26 @@ def test_runner_factorization(gctx_runner):
     report = factor_check(fctx)
     assert report.ok, report.failure
     assert report.pairs_checked == 400
+
+
+@pytest.mark.parametrize("family", ["gctx_runner", "gctx_admissible_pair"])
+def test_nested_is_product_over_residues(family, request):
+    """Each closed-formula entry of a two-residue family is the product of
+    the closed-formula entries of its single-residue factors, each a
+    separate context with its own codes and memo."""
+    gctx = request.getfixturevalue(family)
+    fctx = factor_context(gctx)
+    parts = {lam: psi_multipartition(lam, fctx) for lam in gctx.elements}
+    nonzero = 0
+    for lam in gctx.elements:
+        for mu in gctx.elements:
+            value = nested_decomposition_number(lam, mu, gctx).value
+            product = LaurentPoly.one()
+            for r, child in fctx.children.items():
+                product = product * nested_decomposition_number(parts[lam][r], parts[mu][r], child).value
+            assert value == product, (lam, mu)
+            nonzero += bool(value)
+    assert nonzero == len(gctx.comparable_pairs())
 
 
 def test_runner_character_product(gctx_runner):

@@ -235,14 +235,17 @@ def test_nested_flotw_bipartition(gctx_flotw_bipartition, node_decorate):
     assert value == LaurentPoly({9: 1, 11: 1})
 
 
-def test_field_validity_flag(gctx_hook, gctx_flotw_bipartition):
+def test_field_validity_flag(gctx_hook, gctx_runner):
     lam, mu = gctx_hook.top, gctx_hook.bottom
     assert nested_decomposition_number(lam, mu, gctx_hook).valid_any_field
     ctx = ParamContext(5, [0, 0], ["0", "1/2"], "1")
     gamma = mp([10, 8, 7, 5, 5, 5, 3, 3, 3], [5, 4, 3, 3, 3, 3, 3, 2, 1, 1])
     gctx = build_gamma_set(gamma, [0], {0: 3}, ctx)
     res = nested_decomposition_number(gctx.top, gctx.bottom, gctx)
-    assert not res.valid_any_field  # the residue occurs twice in the multicharge
+    assert res.valid_any_field is False  # the residue occurs twice in the multicharge
+    # several residues added: the paper states no rule, so there is no flag
+    res = nested_decomposition_number(gctx_runner.top, gctx_runner.bottom, gctx_runner)
+    assert res.valid_any_field is None
 
 
 def test_paths_match_generic_outside_pair(ctx_level10, decoration_pair, node_decorate):
