@@ -609,21 +609,17 @@ def test_context_error_names_argument(capsys, argv, name):
     assert json.loads(out)["detail"].startswith(f"{name}: ")
 
 
-@pytest.mark.parametrize(
-    "context, digest",
-    [
-        (RUNNER, "506c47e94e9730ea175dab490e190e2b"),
-        (json.dumps(PAIR_CONTEXT), "c502f510c1119f439043be6d611a7dad"),
-    ],
-    ids=["runner", "criterion-3"],
-)
-def test_decomp_matrix_several_residues(capsys, context, digest):
+@pytest.mark.parametrize("engine", ["both", "nested", "kn"])
+def test_decomp_matrix_several_residues(capsys, engine):
     """The closed formula serves a two-residue family: every engine writes
     the same bytes."""
-    for engine in ("nested", "both", "kn"):
+    for context, digest in [
+        (RUNNER, "506c47e94e9730ea175dab490e190e2b"),
+        (json.dumps(PAIR_CONTEXT), "c502f510c1119f439043be6d611a7dad"),
+    ]:
         code, out = run(capsys, "decomp", context, "--matrix", "--engine", engine)
         assert code == 0
-        assert md5(out) == digest, engine
+        assert md5(out) == digest, context
 
 
 def test_decomp_pair_several_residues(capsys):
