@@ -17,13 +17,17 @@ search never expands o into a centred pair: it applies (iv) only to cancel.
 The search runs on words, one character per symbol: a `str` state hashes
 once and compares as memory, where a tuple of symbols rehashes every field.
 Two tables built at import from the rules, the moves of one symbol and of an
-adjacent pair, drive it; a step becomes symbols again only in a trace.
+adjacent pair, drive it.  The parent maps send each word to the word it was
+found from, so a discovered state costs its word and one dict slot; the move
+between two words is recovered by `step` only along the returned trace,
+where it becomes symbols again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from os.path import commonprefix
 
 from .diagonals import CENTRE, LEFT, RIGHT, TOP_LOWER, TOP_UPPER, VISIBLE, ChiSymbol, empty_symbol
 
@@ -116,22 +120,45 @@ PAIR = {_CHAR[x] + _CHAR[y]: _table(_pair_moves(x, y)) for x, y in product(SYMBO
 
 
 def neighbours(word, max_len):
-    """Each word one identification away, with its step (rule, position,
-    width, replacement): symbol moves, pair moves, then o insertions."""
+    """Each word one identification away: symbol moves, pair moves, then o
+    insertions, each by position."""
     out = []
     n = len(word)
     for p, ch in enumerate(word):
-        for rule, rep, size in SINGLE[ch]:
+        for _rule, rep, size in SINGLE[ch]:
             if n - 1 + size <= max_len:
-                out.append((word[:p] + rep + word[p + 1 :], (rule, p, 1, rep)))
+                out.append(word[:p] + rep + word[p + 1 :])
     for p in range(n - 1):
-        for rule, rep, size in PAIR[word[p : p + 2]]:
+        for _rule, rep, size in PAIR[word[p : p + 2]]:
             if n - 2 + size <= max_len:
-                out.append((word[:p] + rep + word[p + 2 :], (rule, p, 2, rep)))
+                out.append(word[:p] + rep + word[p + 2 :])
     if n < max_len:  # (v): insert a bare empty anywhere
         for p in range(n + 1):
-            out.append((word[:p] + EMPTY_CHAR + word[p:], ("v", p, 0, EMPTY_CHAR)))
+            out.append(word[:p] + EMPTY_CHAR + word[p:])
     return out
+
+
+_INSERT = (("v", EMPTY_CHAR, 1),)
+
+
+def step(word, nxt, max_len):
+    """The first move, in `neighbours` order, that takes word to nxt, as
+    (rule, position, width, replacement).
+
+    A move at p of width w keeps word[:p] and word[p + w:], so p lies
+    between len(word) - w - (common suffix) and the common prefix; only
+    those positions are tried."""
+    n = len(word)
+    if len(nxt) <= max_len:  # every move to nxt makes a word of nxt's length
+        prefix = len(commonprefix((word, nxt)))
+        suffix = len(commonprefix((word[::-1], nxt[::-1])))
+        for width in (1, 2, 0):
+            for p in range(max(0, n - width - suffix), min(prefix, n - width) + 1):
+                moves = SINGLE[word[p]] if width == 1 else PAIR[word[p : p + 2]] if width else _INSERT
+                for rule, rep, _size in moves:
+                    if word[:p] + rep + word[p + width :] == nxt:
+                        return rule, p, width, rep
+    raise ValueError(f"no move within length {max_len} takes {word!r} to {nxt!r}")
 
 
 @dataclass
@@ -147,18 +174,20 @@ class EquivalenceReport:
         return {step.rule for step in self.trace} if self.trace else set()
 
 
-def build_trace(fwd, bwd, meet) -> list[RewriteStep]:
+def build_trace(fwd, bwd, meet, max_len) -> list[RewriteStep]:
     """The steps from the forward start through meet to the backward start;
-    each parent map sends a word to (previous word, step) or None."""
+    each parent map sends a word to the word it was found from, or None."""
     steps, cur = [], meet
     while fwd[cur] is not None:
-        prev, (rule, pos, width, rep) = fwd[cur]
+        prev = fwd[cur]
+        rule, pos, width, rep = step(prev, cur, max_len)
         steps.append(RewriteStep(rule, pos, decode(prev[pos : pos + width]), decode(rep)))
         cur = prev
     steps.reverse()
     cur = meet
     while bwd[cur] is not None:  # backward steps inverted, so the trace reads a -> b
-        prev, (rule, pos, width, rep) = bwd[cur]
+        prev = bwd[cur]
+        rule, pos, width, rep = step(prev, cur, max_len)
         steps.append(RewriteStep(rule, pos, decode(rep), decode(prev[pos : pos + width])))
         cur = prev
     return steps
@@ -171,6 +200,10 @@ def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> Equivalen
     'equivalent' only with a full rewrite trace from a to b, and 'unknown'
     when the bounded bidirectional search exhausts its budget.
     """
+    if depth < 0:
+        raise ValueError(f"depth: must be at least 0, got {depth}")
+    if max_states < 0:
+        raise ValueError(f"max_states: must be at least 0, got {max_states}")
     a, b = tuple(a), tuple(b)
     va, vb = visible_invariant(a), visible_invariant(b)
     if va != vb:
@@ -185,7 +218,7 @@ def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> Equivalen
 
     max_len = max(len(a), len(b)) + 2 * depth
     wa, wb = encode(a), encode(b)
-    # parents map each discovered word to (previous word, step)
+    # parents map each discovered word to the word it was found from
     fwd, bwd = {wa: None}, {wb: None}
     frontier_f, frontier_b = [wa], [wb]
     states = 2
@@ -195,13 +228,13 @@ def chi_equivalent(a, b, depth: int = 8, max_states: int = 200_000) -> Equivalen
         for frontier, seen, other in ((frontier_f, fwd, bwd), (frontier_b, bwd, fwd)):
             new_frontier = []
             for state in frontier:
-                for nxt, step in neighbours(state, max_len):
+                for nxt in neighbours(state, max_len):
                     if nxt in seen:
                         continue
-                    seen[nxt] = (state, step)
+                    seen[nxt] = state
                     states += 1
                     if nxt in other:
-                        trace = build_trace(fwd, bwd, nxt)
+                        trace = build_trace(fwd, bwd, nxt, max_len)
                         return EquivalenceReport("equivalent", trace, states=states, depth=level)
                     new_frontier.append(nxt)
                     if states > max_states:

@@ -1,5 +1,7 @@
+import pytest
+
 from chercomb import chi_equivalent, parse_chi, visible_invariant
-from chercomb.equivalence import decode, encode, neighbours
+from chercomb.equivalence import decode, encode, neighbours, step
 
 
 def seq(text):
@@ -77,8 +79,9 @@ def test_invariant_preserved_by_every_rewrite():
     ]
     for state in seeds:
         inv = visible_invariant(state)
-        for nxt, step in neighbours(encode(state), max_len=len(state) + 2):
-            assert visible_invariant(decode(nxt)) == inv, step
+        word, max_len = encode(state), len(state) + 2
+        for nxt in neighbours(word, max_len):
+            assert visible_invariant(decode(nxt)) == inv, step(word, nxt, max_len)
 
 
 def test_trace_replays_start_to_end():
@@ -112,6 +115,21 @@ def test_report_counts_the_search():
     assert (report.status, report.states, report.depth) == ("unknown", 8, 1)
     report = chi_equivalent(seq("+d4^0,+d4^2"), seq("+d4^0,+d4^3"), max_states=500)
     assert report.status == "unknown" and report.states == 501 and report.depth < 8
+    # a larger budget pins the discovery order five levels deep
+    report = chi_equivalent(seq("+d4^0,+d4^2"), seq("+d4^0,+d4^3"), max_states=20_000)
+    assert (report.status, report.states, report.depth) == ("unknown", 20001, 5)
     # the meeting state ends the search inside its first level
     report = chi_equivalent(seq("+d6^2,+d6^2"), seq(""))
     assert report.depth == 0 and report.states > 2 and len(report.trace) == 2
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"depth": -1}, "depth: must be at least 0, got -1"),
+        ({"max_states": -5}, "max_states: must be at least 0, got -5"),
+    ],
+)
+def test_negative_budget_is_rejected(budget, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        chi_equivalent(seq("+d4^2"), seq("+d4^3"), **budget)

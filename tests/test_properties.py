@@ -5,6 +5,7 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chercomb import (
@@ -19,8 +20,8 @@ from chercomb import (
     theta_leq,
 )
 from chercomb.coords import ExactCoord
-from chercomb.diagonals import ChiSymbol, format_chi
-from chercomb.equivalence import decode, encode, neighbours, visible_invariant
+from chercomb.diagonals import ChiSymbol, empty_symbol, format_chi
+from chercomb.equivalence import EMPTY_CHAR, PAIR, SINGLE, decode, encode, neighbours, step, visible_invariant
 from chercomb.partitions import Multipartition
 from chercomb.selfcheck import random_single_residue_context
 
@@ -158,8 +159,9 @@ def chi_sequences(draw):
 @settings(max_examples=80, deadline=None)
 def test_rewrites_preserve_visible_invariant(seq):
     inv = visible_invariant(seq)
-    for nxt, step in neighbours(encode(seq), max_len=len(seq) + 2):
-        assert visible_invariant(decode(nxt)) == inv, step
+    word, max_len = encode(seq), len(seq) + 2
+    for nxt in neighbours(word, max_len):
+        assert visible_invariant(decode(nxt)) == inv, step(word, nxt, max_len)
 
 
 @given(chi_sequences(), st.integers(0, 10**6))
@@ -173,7 +175,7 @@ def test_rewritten_sequences_detected_equivalent(seq, seed):
         options = neighbours(state, max_len=len(seq) + 6)
         if not options:
             break
-        state, _ = rng.choice(options)
+        state = rng.choice(options)
     report = chi_equivalent(seq, decode(state), depth=6)
     assert report.status == "equivalent"
 
@@ -198,10 +200,8 @@ rewrite = _load_rewrite()
 def test_neighbours_match_rewrite_oracle(seq):
     # every move of rules i-v but one kind: the search never expands o into
     # a centred pair (s d6^j, s d6^j), it only cancels such a pair into o
-    found = {
-        (rule, format_chi(decode(nxt)))
-        for nxt, (rule, *_) in neighbours(encode(seq), max_len=len(seq) + 1)
-    }
+    word, max_len = encode(seq), len(seq) + 1
+    found = {(step(word, nxt, max_len)[0], format_chi(decode(nxt))) for nxt in neighbours(word, max_len)}
     tokens = rewrite.tokens(format_chi(seq))
     oracle, expansions = set(), set()
     for rule, moves in rewrite.moves(tokens).items():
@@ -211,6 +211,65 @@ def test_neighbours_match_rewrite_oracle(seq):
             if rule == "iv" and before == ("o",):
                 expansions.add(move)
     assert found == oracle - expansions
+
+
+NEG_EMPTY_CHAR = encode((empty_symbol(-1),))
+
+
+@st.composite
+def words(draw):
+    """Search words with runs of o and -o among single symbols."""
+    runs = st.builds(str.__mul__, st.sampled_from([EMPTY_CHAR, NEG_EMPTY_CHAR]), st.integers(1, 4))
+    return "".join(draw(st.lists(st.one_of(st.sampled_from(sorted(SINGLE)), runs), max_size=6)))
+
+
+def first_move(word, nxt, max_len):
+    """Brute force: every symbol move, every pair move, then every o
+    insertion, each by position; the first that gives nxt."""
+    n = len(word)
+    moves = [(rule, p, 1, rep) for p, ch in enumerate(word) for rule, rep, _ in SINGLE[ch]]
+    moves += [(rule, p, 2, rep) for p in range(n - 1) for rule, rep, _ in PAIR[word[p : p + 2]]]
+    moves += [("v", p, 0, EMPTY_CHAR) for p in range(n + 1)]
+    for rule, p, width, rep in moves:
+        out = word[:p] + rep + word[p + width :]
+        if len(out) <= max_len and out == nxt:
+            return rule, p, width, rep
+    return None
+
+
+@given(words(), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_step_is_the_first_move_to_each_neighbour(word, extra):
+    max_len = len(word) + extra
+    for nxt in neighbours(word, max_len):
+        rule, p, width, rep = step(word, nxt, max_len)
+        assert word[:p] + rep + word[p + width :] == nxt
+        assert (rule, p, width, rep) == first_move(word, nxt, max_len)
+    with pytest.raises(ValueError):  # no move lengthens a word by two
+        step(word, word + EMPTY_CHAR * 2, max_len + 2)
+
+
+# two criterion-8 signatures, the Schur pair's
+SIGNATURES = (
+    "+d4^0,+d4^2,+d4^3,+d4^3,+d4^2,+d4^0,-d6^0,-d5^3,-d5^3,+d5^2,+d5^0",
+    "+d4^0,+d4^0,-d6^0,-d5^3,-d5^3,+d5^2,+d5^0",
+)
+
+
+def test_walk_traces_replay():
+    from chercomb import chi_equivalent, parse_chi
+
+    rng = random.Random(8)
+    for k in range(60):
+        start = rewrite.tokens(SIGNATURES[k % 2])
+        end = rewrite.walk(start, 4, rng)
+        report = chi_equivalent(parse_chi(",".join(start)), parse_chi(",".join(end)))
+        assert report.status == "equivalent"
+        trace = [
+            (s.rule, s.position, tuple(map(str, s.before)), tuple(map(str, s.after)))
+            for s in report.trace
+        ]
+        rewrite.replay(start, end, trace)
 
 
 def poly_strategy():
