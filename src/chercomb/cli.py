@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .contextio import (
     ParseError,
@@ -152,6 +153,16 @@ def _mp_arg(text, name, ctx):
     return parse_multipartition(field_value(name, json.loads, text), name, ctx.level)
 
 
+@contextmanager
+def _argument(name):
+    """Name the argument at fault in a shape's failure inside the block:
+    a shape outside the family, or a decoration that does not balance."""
+    try:
+        yield
+    except (NotInGamma, UnbalancedDecoration) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -189,7 +200,7 @@ def cmd_tableaux(args):
     degrees = [tableau_degree(tab, ctx) for tab in tabs]
     rows = []
     for tab, degree in zip(tabs, degrees):
-        moved = {str(a): str(b) for a, b in sorted(tab.mapping.items()) if a != b}
+        moved = {str(a): str(b) for a, b in sorted(tab.mapping.items())}
         rows.append([degree, json.dumps(moved)])
     payload = {
         "count": len(tabs),
@@ -214,6 +225,9 @@ def cmd_decomp(args):
     if args.pair:
         lam = _mp_arg(args.pair[0], "--pair", ctx)
         mu = _mp_arg(args.pair[1], "--pair", ctx)
+        with _argument("--pair"):
+            gctx.require(lam)
+            gctx.require(mu)
         result = decomp_number(lam, mu, gctx, engine=args.engine)
         payload = _poly_payload(result.value)
         payload["engine"] = result.engine
@@ -254,7 +268,8 @@ def cmd_terrain(args):
     dt = None
     if args.decorate:
         lam = _mp_arg(args.decorate, "decorate", ctx)
-        dt = decorate(word, filled_edges(nodes, mu, lam, residue, ctx))
+        with _argument("decorate"):
+            dt = decorate(word, filled_edges(nodes, mu, lam, residue, ctx))
     if args.render == "svg":
         return terrain_svg(word, dt)
     if args.render == "ascii":
@@ -317,9 +332,11 @@ def cmd_transport(args):
     tmap = TransportMap(gctx, tgctx)
     if args.shape:
         lam = _mp_arg(args.shape, "--shape", ctx)
+        with _argument("--shape"):
+            target = tmap.multipartition(lam)
         payload = {
             "source": multipartition_to_json(lam),
-            "target": multipartition_to_json(tmap.multipartition(lam)),
+            "target": multipartition_to_json(target),
         }
     else:
         rows = [

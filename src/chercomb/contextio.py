@@ -86,8 +86,6 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
         )
         if len(multiset) < len(multiset_doc):
             raise ParseError(f"multiset: keys {sorted(multiset_doc)} name one residue twice")
-        if any(v < 0 for v in multiset.values()):
-            raise ParseError(f"multiset: counts must be non-negative, got {multiset_doc}")
         if not isinstance(residues, list):
             raise ParseError(f"residues: expected a list of residues, got {residues!r}")
         residues = field_value("residues", lambda rs: [exact_int(r) for r in rs], residues)

@@ -75,8 +75,6 @@ class GammaContext:
         self.multiset = multiset
         self.ctx = ctx
         self.addable = addable  # residue -> ordered list of addable nodes
-        # gamma's nodes, each sent to itself: the pinned part of every tableau
-        self.pinned = {node: node for node in gamma.nodes()}
         # member -> residue -> its filled slots, in a linear extension of dominance
         self.positions = positions
         self.elements = list(positions)
@@ -211,6 +209,8 @@ def build_gamma_set(gamma, residues, multiset, ctx: ParamContext) -> GammaContex
     counts = {ctx.residue(r): exact_int(m) for r, m in multiset.items()}
     if len(counts) < len(multiset):
         raise ValueError(f"multiset: keys {sorted(multiset)} name one residue twice")
+    if any(m < 0 for m in counts.values()):
+        raise ValueError(f"multiset: counts must be non-negative, got {multiset}")
     multiset = {r: m for r, m in counts.items() if m != 0}
     for r in multiset:
         if r not in residue_set:

@@ -20,8 +20,11 @@ theta and g, which orders exactly as the coordinates do while every eps
 part (row + col) stays below 2^20; a larger node raises ValidationError.
 A ghost shift is one integer subtraction.
 
-Only moving strands (node != target) are visited; two vertical strands
-never cross, so every crossing has a moving strand on one side.  Moving
+A tableau stores only its moving strands (node != target); every node it
+leaves out is a vertical strand, and `Tableau.image` reads any node's
+target.  A base-pinned tableau thus holds its slot moves and nothing of
+gamma.  Only moving strands are visited; two vertical strands never
+cross, so every crossing has a moving strand on one side.  Moving
 strands are grouped by residue, and a moving strand meets only its own
 residue and the two next to it.  Pairs of moving strands are compared
 directly.  The vertical strands of residue r are the shape's residue-r
@@ -52,14 +55,17 @@ from .partitions import Node
 
 class Tableau:
     """A residue-preserving bijection from nodes of the shape to nodes of
-    the weight, stored node-to-node."""
+    the weight, stored as its moving strands: `mapping` holds each node
+    sent elsewhere, and every node it leaves out is sent to itself."""
 
     __slots__ = ("shape", "weight", "mapping")
 
     def __init__(self, shape, weight, mapping):
         self.shape = shape
         self.weight = weight
-        self.mapping = mapping
+        # fixed points are dropped here and nowhere else, so a tableau has
+        # one stored form however it was built
+        self.mapping = {node: target for node, target in mapping.items() if node != target}
 
     def __eq__(self, other):
         return (
@@ -73,8 +79,12 @@ class Tableau:
         return hash((self.shape, self.weight, frozenset(self.mapping.items())))
 
     def __repr__(self):
-        moved = {str(a): str(b) for a, b in sorted(self.mapping.items()) if a != b}
+        moved = {str(a): str(b) for a, b in sorted(self.mapping.items())}
         return f"Tableau({self.shape} -> {self.weight}, moved={moved})"
+
+    def image(self, node: Node) -> Node:
+        """The node of the weight that `node` of the shape is sent to."""
+        return self.mapping.get(node, node)
 
     def degree(self, ctx: ParamContext) -> int:
         return tableau_degree(self, ctx)
@@ -85,16 +95,21 @@ class Tableau:
         )
 
     def is_semistandard(self, ctx: ParamContext) -> bool:
-        """Direct check of the three defining inequalities."""
+        """Direct check of the three defining inequalities, after checking
+        that the shape's nodes go one-to-one onto the weight's: a node left
+        out of `mapping` is read as fixed, so a partial map is caught here."""
         g = ctx.g
+        image = self.image
+        if sorted(map(image, self.shape.nodes())) != sorted(self.weight.nodes()):
+            return False
         for node in self.shape.nodes():
-            v = ctx.node_coord(self.mapping[node])
+            v = ctx.node_coord(image(node))
             r, c, k = node
             if r == 1 and c == 1 and not v > ctx.red_line(k):
                 return False
-            if r > 1 and not v > ctx.node_coord(self.mapping[Node(r - 1, c, k)]).shift(g):
+            if r > 1 and not v > ctx.node_coord(image(Node(r - 1, c, k))).shift(g):
                 return False
-            if c > 1 and not v > ctx.node_coord(self.mapping[Node(r, c - 1, k)]).shift(-g):
+            if c > 1 and not v > ctx.node_coord(image(Node(r, c - 1, k))).shift(-g):
                 return False
         return True
 
@@ -155,7 +170,7 @@ def _enumerate_general(lam, mu, ctx):
 
     def search(i: int):
         if i == len(cells):
-            results.append(Tableau(lam, mu, dict(assignment)))
+            results.append(Tableau(lam, mu, assignment))
             return
         cell = cells[i]
         for value in by_res.get(ctx.residue_of(cell), ()):
@@ -197,7 +212,7 @@ def pinned_tableau(lam, mu, gctx: GammaContext, moves) -> Tableau:
     """The base-pinned tableau of shape lam and weight mu: gamma's nodes
     stay in place and, per residue r, each 1-based slot move (s, t) in
     moves[r] sends lam's added node in slot s to mu's in slot t."""
-    mapping = dict(gctx.pinned)
+    mapping = {}
     for r, pairs in moves.items():
         slots = gctx.addable[r]
         for s, t in pairs:
@@ -211,7 +226,7 @@ def slot_moves(tab: Tableau, gctx: GammaContext) -> dict[int, tuple[tuple[int, i
     moves = {}
     for r, filled in gctx.added_positions(tab.shape).items():
         slots = gctx.addable[r]
-        moves[r] = tuple((s, slots.index(tab.mapping[slots[s - 1]]) + 1) for s in filled)
+        moves[r] = tuple((s, slots.index(tab.image(slots[s - 1])) + 1) for s in filled)
     return moves
 
 
@@ -235,8 +250,7 @@ def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
     key = ctx.node_key
     moving: dict[int, list] = {}  # residue -> [(source key, target key)]
     for node, target in tab.mapping.items():
-        if node != target:
-            moving.setdefault(ctx.residue_of(node), []).append((key(node), key(target)))
+        moving.setdefault(ctx.residue_of(node), []).append((key(node), key(target)))
     if not moving:
         return 0
     shape_keys = ctx.shape_keys(tab.shape)

@@ -564,6 +564,7 @@ WEIGHT10 = "[[1]" + ",[]" * 9 + "]"  # a level-10 multipartition
 
 NO_GAMMA = json.dumps({k: HOOK_CONTEXT[k] for k in ("e", "multicharge", "theta", "g")})
 RUNNER = json.dumps(RUNNER_CONTEXT)
+MU10 = "[[1],[1],[],[],[1],[],[1],[],[1],[1]]"  # a level-10 weight with five 1-nodes
 
 
 @pytest.mark.parametrize(
@@ -591,6 +592,12 @@ def test_shapes_outside_family_use_general_search(capsys, command, key, value):
         (["chi", HOOK, "--compare", RUNNER], "--compare"),
         (["chi", RUNNER, "--compare", HOOK], "context"),
         (["terrain", NO_GAMMA, "[[1]]"], "context"),
+        # a shape outside the family, or a decoration that does not balance
+        (["decomp", HOOK, "--pair", "[[5,1]]", "[[5,1,1,1,1,1]]"], "--pair"),
+        (["decomp", HOOK, "--pair", "[[6,1,1,1,1]]", "[[5,1]]"], "--pair"),
+        (["transport", HOOK, "--target", HOOK, "--shape", "[[5,1]]"], "--shape"),
+        (["terrain", LEVEL10, MU10, "--residue", "1", "--decorate", "[[2],[1],[],[],[],[],[1],[],[1],[1]]"], "decorate"),
+        (["terrain", LEVEL10, MU10, "--residue", "1", "--decorate", "[[],[1],[1],[],[1],[],[1],[],[1],[1]]"], "decorate"),
     ],
     ids=[
         "target-two-residues",
@@ -601,6 +608,11 @@ def test_shapes_outside_family_use_general_search(capsys, command, key, value):
         "compare-two-residues",
         "chi-two-residues",
         "terrain-no-gamma",
+        "pair-shape-outside",
+        "pair-weight-outside",
+        "transport-shape-outside",
+        "decorate-other-residue",
+        "decorate-not-above",
     ],
 )
 def test_context_error_names_argument(capsys, argv, name):

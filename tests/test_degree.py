@@ -30,9 +30,9 @@ from chercomb.tableaux import Tableau
 def fraction_degree(tab: Tableau, ctx: ParamContext) -> int:
     """Signed crossing count of the minimal monotone diagram of the tableau."""
     strands = []
-    for node, target in tab.mapping.items():
+    for node in tab.shape.nodes():
         strands.append(
-            (ctx.node_coord(node), ctx.node_coord(target), ctx.residue_of(node))
+            (ctx.node_coord(node), ctx.node_coord(tab.image(node)), ctx.residue_of(node))
         )
     moving = [s for s in strands if s[0] != s[1]]
     vertical = [s for s in strands if s[0] == s[1]]

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-top-level function or class it defines is named somewhere else.
+top-level function or class it defines, and every method or property of
+such a class, is named somewhere else.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree.  The package `__init__` is left out: it imports to re-export.
@@ -52,14 +53,29 @@ def named(tree):
     return out
 
 
+def definitions(tree):
+    """Each top-level function or class, and each method or property of a
+    top-level class (dunders left out: the interpreter calls those), as
+    (qualified name, name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_no_dead_definitions():
     readers = [*MODULES, *(REPO / "tests").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
     used = set().union(*(named(ast.parse(p.read_text(encoding="utf-8"))) for p in readers))
     dead = [
-        f"{path.name}: {node.name}"
+        f"{path.name}: {qualified}"
         for path in MODULES
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+        for qualified, name in definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in used
     ]
     assert not dead, f"defined but never named outside the package __init__: {dead}"
 

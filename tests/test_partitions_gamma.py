@@ -172,6 +172,13 @@ def test_build_gamma_set_errors(ctx_e5):
         build_gamma_set(mp([]), [1, 2], {1: 1}, ctx)
 
 
+@pytest.mark.parametrize("multiset", [{0: -1}, {5: -2}, {0: 1, 2: -1}], ids=["one", "key-mod-e", "second"])
+def test_build_gamma_set_rejects_negative_count(ctx_e5, multiset):
+    # the library boundary names the field, as the context file does
+    with pytest.raises(ValueError, match="^multiset: counts must be non-negative"):
+        build_gamma_set(mp([5, 1, 1, 1, 1]), [0, 2], multiset, ctx_e5)
+
+
 def test_membership_invariants(gctx_admissible_pair):
     gctx = gctx_admissible_pair
     gamma, ctx = gctx.gamma, gctx.ctx

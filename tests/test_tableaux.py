@@ -29,6 +29,14 @@ def test_unique_tableaux_examples(ctx_e4, ctx_e5):
     assert len(enumerate_sstd(mp([6, 2, 2, 1, 1]), mp([5, 2, 2, 1, 1, 1]), ctx_e5)) == 1
 
 
+def test_map_not_onto_weight_is_not_semistandard(ctx_e5):
+    # a node left out of the map is read as fixed, and (1,2) is no node of (1,1)
+    assert not Tableau(mp([2]), mp([1, 1]), {}).is_semistandard(ctx_e5)
+    lam = mp([3, 2])
+    twice = {Node(1, 3, 1): Node(1, 2, 1)}  # (1,2) and (1,3) both go to (1,2)
+    assert not Tableau(lam, lam, twice).is_semistandard(ctx_e5)
+
+
 def test_mismatched_content_empty(ctx_e5):
     assert enumerate_sstd(mp([2]), mp([1, 1]), ctx_e5) == []
     assert delta_character(mp([2]), mp([1, 1]), ctx_e5) == LaurentPoly.zero()
@@ -92,8 +100,28 @@ def test_gamma_strands_pinned(gctx_hook, ctx_e5):
     lam, mu = mp([6, 1, 1, 1, 1]), mp([5, 1, 1, 1, 1, 1])
     (tab,) = enumerate_sstd(lam, mu, ctx_e5, gctx_hook)
     for node in gctx_hook.gamma.nodes():
-        assert tab.mapping[node] == node
-    assert tab.mapping[Node(1, 6, 1)] == Node(6, 1, 1)
+        assert tab.image(node) == node
+    assert tab.image(Node(1, 6, 1)) == Node(6, 1, 1)
+
+
+@pytest.mark.parametrize("family", ["gctx_hook", "gctx_admissible_pair", "gctx_runner"])
+def test_tableau_stores_moving_strands_only(request, family):
+    # a tableau built from a total map equals, and hashes like, the one
+    # built from its moves; a pinned one holds no node of gamma and at most
+    # one entry per added node
+    gctx = request.getfixturevalue(family)
+    added = sum(gctx.multiset.values())
+    gamma_nodes = set(gctx.gamma.nodes())
+    for lam in gctx.elements:
+        for mu in gctx.elements:
+            for tab in enumerate_sstd(lam, mu, gctx.ctx, gctx):
+                assert gamma_nodes.isdisjoint(tab.mapping) and len(tab.mapping) <= added
+                total = {node: tab.image(node) for node in lam.nodes()}
+                moves = {node: target for node, target in total.items() if node != target}
+                assert moves == tab.mapping
+                for built in (Tableau(lam, mu, total), Tableau(lam, mu, moves)):
+                    assert built == tab and hash(built) == hash(tab)
+                    assert built.mapping == moves
 
 
 @pytest.mark.parametrize("family", ["gctx_hook", "gctx_admissible_pair", "gctx_runner"])
