@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 from .contextio import (
     ParseError,
@@ -48,10 +49,10 @@ def _emit(result, args):
     """Write a command's result once, to --out when given, else to stdout.
 
     A drawing is written as it is and a payload in --format: JSON encoded
-    as it is written, CSV and LaTeX built before the file is opened.  A
-    LaurentPoly cell of a row is written in the format's form: to_latex in
-    LaTeX, its plain form otherwise.  An --out that cannot be opened is a
-    validation failure.
+    as it is written (`_write_json`), CSV and LaTeX built before the file is
+    opened.  A LaurentPoly cell of a row is written in the format's form:
+    to_latex in LaTeX, its plain form otherwise.  An --out that cannot be
+    opened is a validation failure.
     """
     if not isinstance(result, str) and args.format != "json":
         result = _to_csv(result) if args.format == "csv" else _to_latex(result)
@@ -63,11 +64,85 @@ def _emit(result, args):
         if isinstance(result, str):
             fh.write(result)
         else:
-            json.dump(result, fh, indent=2, sort_keys=True, default=_poly_text(str))
+            _write_json(result, fh, _poly_text(str))
         fh.write("\n")
     finally:
         if args.out:
             fh.close()
+
+
+def _write_json(payload, fh, default):
+    """Write payload to fh with the bytes of
+    `json.dump(payload, fh, indent=2, sort_keys=True, default=default)`.
+
+    The payload and each of its members are written item by item as they
+    are encoded, so the whole text is never held; each item below them (a
+    row, a member, a coefficient dict) is rendered to text whole.  The text
+    of a dict, or of an object encoded through default, is rendered once
+    per (object, depth) and reused: the entries of a matrix share their
+    equal values.  The memo keeps each object it renders, so no id is
+    reused while it lives.  Lists and tuples are not memoized, since rows
+    are distinct.  An object json cannot encode, and default refuses,
+    raises TypeError.
+    """
+    memo = {}
+
+    def text(o, depth):
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if type(o) is int:
+            return int.__repr__(o)
+        if o is None or isinstance(o, (int, float)):
+            return json.dumps(o)  # a bool, a float or an int subclass, as json writes it
+        if isinstance(o, (list, tuple)):
+            return block(o, depth)
+        seen = memo.get((id(o), depth))
+        if seen is None:
+            form = block(o, depth) if isinstance(o, dict) else text(default(o), depth)
+            seen = memo[(id(o), depth)] = (o, form)
+        return seen[1]
+
+    def block(o, depth):
+        """The text of a list, tuple or dict."""
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        if isinstance(o, dict):
+            left, right = "{}"
+            parts = [_json_key(k) + ": " + text(o[k], depth + 1) for k in sorted(o)]
+        else:
+            left, right = "[]"
+            parts = [text(x, depth + 1) for x in o]
+        inner = "\n" + "  " * (depth + 1)
+        return left + inner + ("," + inner).join(parts) + "\n" + "  " * depth + right
+
+    def write(o, depth, lead):
+        """Write lead and then o, item by item down to depth 1."""
+        if depth > 1 or not isinstance(o, (dict, list, tuple)) or not o:
+            fh.write(lead + text(o, depth))
+            return
+        if isinstance(o, dict):
+            left, right = "{}"
+            members = ((_json_key(k) + ": ", o[k]) for k in sorted(o))
+        else:
+            left, right = "[]"
+            members = (("", x) for x in o)
+        inner = "\n" + "  " * (depth + 1)
+        for head, value in members:
+            write(value, depth + 1, lead + left + inner + head)
+            lead, left = "", ","
+        fh.write("\n" + "  " * depth + right)
+
+    write(payload, 0, "")
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as it is; an int, float, bool or
+    None as its JSON text; anything else refused."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
 
 
 def _poly_text(render):
@@ -235,18 +310,16 @@ def cmd_decomp(args):
             payload["valid_any_field"] = result.valid_any_field
         return payload
     index = gctx.index
-    cells = sorted(
-        (index[lam], index[mu], poly) for (lam, mu), poly in family_entries(gctx, args.engine).items()
-    )
+    # lam-major along the order, the order the rows are written in
+    rows = [(index[lam], index[mu], poly) for (lam, mu), poly in family_entries(gctx, args.engine).items()]
     # the engine shares equal values: each distinct one gets one coefficient
     # dict, and every row holds the shared value, which the writer renders
-    coefficients, entries, rows = {}, {}, []
-    for i, j, poly in cells:
+    coefficients, entries = {}, {}
+    for i, j, poly in rows:
         coeffs = coefficients.get(id(poly))
         if coeffs is None:
             coeffs = coefficients[id(poly)] = poly.to_sorted_dict()
         entries[f"{i},{j}"] = coeffs
-        rows.append((i, j, poly))
     return {
         "order": [multipartition_to_json(m) for m in gctx.elements],
         "entries": entries,

@@ -49,8 +49,11 @@ def parse_context(source) -> tuple[ParamContext, GammaContext | None, object]:
     else:
         text = source
         if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ParseError(f"cannot read context file {str(source)!r}: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -164,26 +164,29 @@ def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
 
 
 def family_entries(gctx: GammaContext, engine: str) -> dict:
-    """Nonzero decomposition numbers d[(lam, mu)] over the whole family.
+    """Nonzero decomposition numbers d[(lam, mu)] over the whole family,
+    lam-major along the order (`comparable_pairs`) at every engine.
 
     Engines as in decomp_number; 'both' raises EngineDisagreement at the
-    first pair, lam-major along the order, where the engines differ.  Equal
-    values are one shared LaurentPoly: a family has far fewer distinct
-    decomposition numbers than nonzero entries.
+    first pair where the engines differ.  Equal values are one shared
+    LaurentPoly: a family has far fewer distinct decomposition numbers than
+    nonzero entries.  The peel puts no nonzero entry on an incomparable
+    pair (check_invariants), so kn reads only comparable ones.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     peeled = gamma_peel_matrix(gctx) if engine != "nested" else None
     shared: dict = {}
-    if engine == "kn":
-        return {pair: shared.setdefault(value, value) for pair, value in peeled.d.items()}
     entries = {}
     for lam, mu in gctx.comparable_pairs():
-        value = nested_decomposition_number(lam, mu, gctx).value
-        if peeled is not None and value != peeled.entry(lam, mu):
-            raise EngineDisagreement(
-                f"d[{lam},{mu}]: nested gives {value}, peeling gives {peeled.entry(lam, mu)}"
-            )
+        if engine == "kn":
+            value = peeled.entry(lam, mu)
+        else:
+            value = nested_decomposition_number(lam, mu, gctx).value
+            if peeled is not None and value != peeled.entry(lam, mu):
+                raise EngineDisagreement(
+                    f"d[{lam},{mu}]: nested gives {value}, peeling gives {peeled.entry(lam, mu)}"
+                )
         if value:
             entries[(lam, mu)] = shared.setdefault(value, value)
     return entries

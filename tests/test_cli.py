@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -157,19 +158,24 @@ def test_decomp_pair_and_matrix(capsys, hook_file):
     assert json.loads(out_both)["entries"] == entries
 
 
-def test_decomp_matrix_flotw3_golden(capsys, tmp_path, flotw2_file):
+@pytest.mark.parametrize("engine", ["nested", "kn", "both"])
+def test_decomp_matrix_flotw3_golden(capsys, tmp_path, flotw2_file, engine):
     # three 0-nodes added to the FLOTW base: 120 members; 'both' also
     # checks that the closed formula and the peel agree on every entry
     with open(flotw2_file) as fh:
         context = json.load(fh)
     path = tmp_path / "flotw3.json"
     path.write_text(json.dumps(dict(context, multiset={"0": 3})))
-    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", "both")
+    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", engine)
     assert code == 0
-    assert len(json.loads(out)["order"]) == 120
+    payload = json.loads(out)
+    assert len(payload["order"]) == 120
     assert md5(out) == "558234e5c07cc9a8fb4b6953b0d05eb8"
+    # rows are written as the engine lists them, strictly increasing
+    cells = [(i, j) for i, j, _ in payload["rows"]]
+    assert all(a < b for a, b in zip(cells, cells[1:]))
     # rows are written from shared forms; the CSV keeps its bytes
-    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", "both", "--format", "csv")
+    code, out = run(capsys, "decomp", str(path), "--matrix", "--engine", engine, "--format", "csv")
     assert code == 0
     assert md5(out) == "35ebdbd94d34eaeed90eedbc90028673"
 
@@ -621,6 +627,27 @@ def test_context_error_names_argument(capsys, argv, name):
     assert json.loads(out)["detail"].startswith(f"{name}: ")
 
 
+@pytest.mark.parametrize("fault", ["directory", "not-utf-8"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "PATH"], ["chi", HOOK, "--compare", "PATH"], ["transport", HOOK, "--target", "PATH"]],
+    ids=["context", "compare", "target"],
+)
+def test_unreadable_context_file_is_named(capsys, tmp_path, argv, fault):
+    # a context path that exists but cannot be read as UTF-8 text is a
+    # validation failure that names the path
+    if fault == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(HOOK_CONTEXT).encode() + b" \xff")
+    code, out = run(capsys, *[str(path) if a == "PATH" else a for a in argv])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "validation failure"
+    assert repr(str(path)) in payload["detail"]
+
+
 @pytest.mark.parametrize("engine", ["both", "nested", "kn"])
 def test_decomp_matrix_several_residues(capsys, engine):
     """The closed formula serves a two-residue family: every engine writes
@@ -749,3 +776,82 @@ def test_readme_cli_block_matches_parser():
         for name, p in sub.choices.items()
     }
     assert documented == options
+
+
+def dump_text(payload) -> str:
+    """The oracle: the text json.dump writes for a payload."""
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, sort_keys=True, default=cli._poly_text(str))
+    return buf.getvalue()
+
+
+def writer_text(payload) -> str:
+    buf = io.StringIO()
+    cli._write_json(payload, buf, cli._poly_text(str))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", HOOK],
+        ["gamma-set", RUNNER],
+        ["tableaux", RUNNER, "[[1],[1],[],[1],[1],[],[]]", "[[],[],[1],[],[1],[1],[1]]"],
+        ["delta-char", HOOK, "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]"],
+        ["decomp", HOOK, "--pair", "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]"],
+        ["decomp", "FLOTW3", "--matrix", "--engine", "nested"],
+        ["terrain", LEVEL10, MU10, "--residue", "1", "--decorate", "[[1],[1],[1],[1],[],[1],[1],[],[],[]]"],
+        ["chi", "CHI_A", "--compare", "CHI_B"],
+        ["transport", HOOK, "--target", HOOK],
+        ["tensor-factor", RUNNER, "--verify"],
+        ["selfcheck", "--count", "5", "--seed", "3"],
+    ],
+    ids=[
+        "validate", "gamma-set", "tableaux", "delta-char", "decomp-pair", "decomp-matrix",
+        "terrain", "chi-compare", "transport", "tensor-factor", "selfcheck",
+    ],
+)
+def test_json_writer_matches_json_dump(capsys, flotw2_file, chi_pair_files, argv):
+    # every command's JSON is written with json.dump's bytes
+    with open(flotw2_file) as fh:
+        flotw3 = json.dumps(dict(json.load(fh), multiset={"0": 3}))
+    names = {"FLOTW3": flotw3, "CHI_A": chi_pair_files[0], "CHI_B": chi_pair_files[1]}
+    argv = [names.get(a, a) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    args = build_parser().parse_args(argv)
+    result = args.func(args)
+    payload = result[0] if isinstance(result, tuple) else result
+    assert out == dump_text(payload) + "\n"
+
+
+def test_json_writer_edge_payload():
+    shared = {"b": [1, {}], "a": "x"}
+    poly = LaurentPoly({-1: 3, 2: 1})
+    payload = {
+        "empty": [[], {}, [[]], [{}], {"e": {}, "f": []}],
+        "text": 'é "quoted" back\\slash\nline\ttab\x01\x1f ü€😀',
+        "flags": [True, False, None],
+        # one dict at depths 1, 2, 3 and 4
+        "shared": shared,
+        "deeper": {"again": shared, "list": [shared, [shared]]},
+        "rows": [(0, 1, poly), (2, 3, poly)],
+        "poly": poly,
+        "numbers": [-5, 0, 10**30, 1.5, -0.0],
+        "": {"": ""},
+    }
+    for value in (payload, [payload, payload], {2: "two", 0.5: "half", False: "no"}, {None: 1}, {}, [], "é", 7, None):
+        assert writer_text(value) == dump_text(value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"x": object()}, [1, {2, 3}], {"a": {"b": {(1, 2): 3}}}, {"a": [[b"bytes"]]}],
+    ids=["object", "set", "tuple-key", "bytes"],
+)
+def test_json_writer_refuses_what_json_dump_refuses(bad):
+    with pytest.raises(TypeError) as expected:
+        dump_text(bad)
+    with pytest.raises(TypeError) as refused:
+        writer_text(bad)
+    assert str(refused.value) == str(expected.value)

@@ -39,16 +39,17 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def named(tree):
-    """Every identifier the tree reads, as a name, an attribute, or the last
-    dotted part of a string (the benchmark names the functions it wraps)."""
+def named(tree, strings):
+    """Every identifier the tree reads, as a name or an attribute; with
+    strings, also the last dotted part of each string constant (the
+    benchmark names the functions it wraps)."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value.rsplit(".", 1)[-1])
     return out
 
@@ -69,8 +70,12 @@ def definitions(tree):
 
 
 def test_no_dead_definitions():
+    # a string counts as a use only in the benchmark: elsewhere it is a JSON
+    # key or a message, such as "degree", "rows" or "order"
     readers = [*MODULES, *(REPO / "tests").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
-    used = set().union(*(named(ast.parse(p.read_text(encoding="utf-8"))) for p in readers))
+    used = set().union(
+        *(named(ast.parse(p.read_text(encoding="utf-8")), p.parent.name == "perfbench") for p in readers)
+    )
     dead = [
         f"{path.name}: {qualified}"
         for path in MODULES

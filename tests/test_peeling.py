@@ -24,6 +24,7 @@ from chercomb import (
 )
 from chercomb.gamma import strip_residues
 from chercomb.peeling import gamma_characters
+from chercomb.selfcheck import random_single_residue_context
 
 
 def test_single_element_matrix(ctx_e5):
@@ -141,6 +142,17 @@ def test_family_entries_engines(gctx_hook):
     assert kn == {(a, a): t(0), (b, b): t(0), (c, c): t(0), (a, b): t(1), (b, c): t(1), (a, c): t(2)}
     with pytest.raises(ValueError, match="unknown engine"):
         family_entries(gctx_hook, "lattice")
+
+
+def test_engines_list_entries_in_one_order(gctx_hook, gctx_runner):
+    # every engine lists its entries lam-major along the family order, the
+    # order `decomp --matrix` writes its rows in
+    rng = random.Random(2525)
+    families = [gctx_hook, gctx_runner] + [random_single_residue_context(rng) for _ in range(40)]
+    for gctx in families:
+        kn = list(family_entries(gctx, "kn").items())
+        assert list(family_entries(gctx, "nested").items()) == kn, gctx.gamma
+        assert list(family_entries(gctx, "both").items()) == kn, gctx.gamma
 
 
 def test_family_entries_share_equal_values(gctx_flotw_bipartition, gctx_hook):
