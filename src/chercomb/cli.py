@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from json.encoder import encode_basestring_ascii
 
 from .contextio import (
@@ -52,23 +53,24 @@ def _emit(result, args):
     as it is written (`_write_json`), CSV and LaTeX built before the file is
     opened.  A LaurentPoly cell of a row is written in the format's form:
     to_latex in LaTeX, its plain form otherwise.  An --out that cannot be
-    opened is a validation failure.
+    opened, written or closed is a validation failure, and so is a stdout
+    that fails, a closed pipe say: stdout is then pointed at devnull, as
+    the Python docs advise, so nothing more reaches the pipe at exit.
     """
     if not isinstance(result, str) and args.format != "json":
         result = _to_csv(result) if args.format == "csv" else _to_latex(result)
     try:
-        fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            if isinstance(result, str):
+                fh.write(result)
+            else:
+                _write_json(result, fh, _poly_text(str))
+            fh.write("\n")
+            fh.flush()
     except OSError as exc:
-        raise ValidationError(f"--out: {exc}") from exc
-    try:
-        if isinstance(result, str):
-            fh.write(result)
-        else:
-            _write_json(result, fh, _poly_text(str))
-        fh.write("\n")
-    finally:
-        if args.out:
-            fh.close()
+        if not args.out:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValidationError(f"{'--out' if args.out else 'stdout'}: {exc}") from exc
 
 
 def _write_json(payload, fh, default):

@@ -153,18 +153,6 @@ class GammaContext:
             raise self._missing(mu)
         return all(map(le, above, below))
 
-    def comparable_pairs(self) -> list[tuple[Multipartition, Multipartition]]:
-        """Every (lam, mu) with mu <= lam, diagonal included, lam-major
-        along the order.  The order is a linear extension, most dominant
-        first, so each mu <= lam sits at or after lam."""
-        elements = self.elements
-        return [
-            (lam, mu)
-            for i, lam in enumerate(elements)
-            for mu in elements[i:]
-            if self.leq(mu, lam)
-        ]
-
     def covers(self) -> list[tuple[Multipartition, Multipartition]]:
         """Every Hasse edge (lam, mu), mu covered by lam, lam-major along
         the order.

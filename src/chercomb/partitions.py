@@ -96,16 +96,7 @@ class Multipartition:
                     yield Node(r, c, k)
 
     def with_node(self, node: Node) -> "Multipartition":
-        if not self.is_addable(node):
-            raise ValueError(f"node {node} is not addable to {self}")
-        part = list(self.comps[node.comp - 1])
-        if node.row == len(part) + 1:
-            part.append(1)
-        else:
-            part[node.row - 1] += 1
-        comps = list(self.comps)
-        comps[node.comp - 1] = tuple(part)
-        return Multipartition(comps)
+        return self.with_nodes([node])
 
     def with_nodes(self, nodes) -> "Multipartition":
         """self with the nodes added in (comp, row) order, so that

@@ -12,6 +12,7 @@ closed lattice-path formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 from .gamma import GammaContext
@@ -165,20 +166,23 @@ def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
 
 def family_entries(gctx: GammaContext, engine: str) -> dict:
     """Nonzero decomposition numbers d[(lam, mu)] over the whole family,
-    lam-major along the order (`comparable_pairs`) at every engine.
+    lam-major along the order at every engine.
 
+    Each pair with mu at or after lam is read, and no pair list is built:
+    the order is a linear extension, so every mu <= lam is among them.
+    The engines decide dominance: nested is zero off the order, and so is
+    the peel (check_invariants), so an entry is kept iff it is nonzero.
     Engines as in decomp_number; 'both' raises EngineDisagreement at the
-    first pair where the engines differ.  Equal values are one shared
-    LaurentPoly: a family has far fewer distinct decomposition numbers than
-    nonzero entries.  The peel puts no nonzero entry on an incomparable
-    pair (check_invariants), so kn reads only comparable ones.
+    first pair where the engines differ, incomparable pairs included.
+    Equal values are one shared LaurentPoly: a family has far fewer
+    distinct decomposition numbers than nonzero entries.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     peeled = gamma_peel_matrix(gctx) if engine != "nested" else None
     shared: dict = {}
     entries = {}
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in combinations_with_replacement(gctx.elements, 2):
         if engine == "kn":
             value = peeled.entry(lam, mu)
         else:

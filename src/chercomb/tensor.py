@@ -73,7 +73,7 @@ class FactorReport:
 
 def factor_check(fctx: FactoredContext) -> FactorReport:
     """Verify the tableau split, degree additivity and matrix factorization
-    over every pair.
+    over every pair, in one pass.
 
     Both sides are computed independently: the left from the full context,
     the right from the per-residue contexts, with no shared caches.
@@ -88,49 +88,45 @@ def factor_check(fctx: FactoredContext) -> FactorReport:
         r: {(a, b): enumerate_sstd(a, b, ctx, child) for a, b in product(child.elements, repeat=2)}
         for r, child in fctx.children.items()
     }
-
-    # the split of each pair's tableaux is the product of the child lists,
-    # as multisets; then degree additivity, tableau by tableau
-    for lam in gctx.elements:
-        for mu in gctx.elements:
-            tabs = enumerate_sstd(lam, mu, ctx, gctx)
-            pairs += 1
-            parts = [psi_tableau(tab, fctx) for tab in tabs]
-            lists = [child_tabs[r][split[lam][r], split[mu][r]] for r in fctx.active_residues]
-            if Counter(tuple(p.values()) for p in parts) != Counter(product(*lists)):
-                return FactorReport(
-                    False,
-                    pairs,
-                    tableaux,
-                    f"tableau split mismatch at ({lam}, {mu}): {len(tabs)} tableaux "
-                    f"vs child lists of sizes {[len(x) for x in lists]}",
-                )
-            for tab, part in zip(tabs, parts):
-                tableaux += 1
-                total = sum(tableau_degree(t, ctx) for t in part.values())
-                degree = tableau_degree(tab, ctx)
-                if total != degree:
-                    return FactorReport(
-                        False,
-                        pairs,
-                        tableaux,
-                        f"degree additivity fails at ({lam}, {mu}): {degree} != {total}",
-                    )
-
-    # decomposition-matrix factorization
     full = gamma_peel_matrix(gctx)
     children_matrices = {r: gamma_peel_matrix(fctx.children[r]) for r in fctx.active_residues}
-    for lam in gctx.elements:
-        for mu in gctx.elements:
-            expected = LaurentPoly.one()
-            for r in fctx.active_residues:
-                expected = expected * children_matrices[r].entry(split[lam][r], split[mu][r])
-            if full.entry(lam, mu) != expected:
+
+    # the split of each pair's tableaux is the product of the child lists,
+    # as multisets; then degree additivity, tableau by tableau; then the
+    # pair's decomposition number is the product of the children's
+    for lam, mu in product(gctx.elements, repeat=2):
+        tabs = enumerate_sstd(lam, mu, ctx, gctx)
+        pairs += 1
+        parts = [psi_tableau(tab, fctx) for tab in tabs]
+        lists = [child_tabs[r][split[lam][r], split[mu][r]] for r in fctx.active_residues]
+        if Counter(tuple(p.values()) for p in parts) != Counter(product(*lists)):
+            return FactorReport(
+                False,
+                pairs,
+                tableaux,
+                f"tableau split mismatch at ({lam}, {mu}): {len(tabs)} tableaux "
+                f"vs child lists of sizes {[len(x) for x in lists]}",
+            )
+        for tab, part in zip(tabs, parts):
+            tableaux += 1
+            total = sum(tableau_degree(t, ctx) for t in part.values())
+            degree = tableau_degree(tab, ctx)
+            if total != degree:
                 return FactorReport(
                     False,
                     pairs,
                     tableaux,
-                    f"matrix factorization fails at ({lam}, {mu}): "
-                    f"{full.entry(lam, mu)} != {expected}",
+                    f"degree additivity fails at ({lam}, {mu}): {degree} != {total}",
                 )
+        expected = LaurentPoly.one()
+        for r in fctx.active_residues:
+            expected = expected * children_matrices[r].entry(split[lam][r], split[mu][r])
+        if full.entry(lam, mu) != expected:
+            return FactorReport(
+                False,
+                pairs,
+                tableaux,
+                f"matrix factorization fails at ({lam}, {mu}): "
+                f"{full.entry(lam, mu)} != {expected}",
+            )
     return FactorReport(True, pairs, tableaux)

@@ -285,7 +285,9 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     root.  lam's and mu's slots merge into one code per slot
     (`root_codes`), and a root's code fixes its word and its pairs, so each
     distinct root is decorated and enumerated once per family, in
-    `gctx.segment_norms`.
+    `gctx.segment_norms`.  Dominance is decided here, by one `gctx.leq`
+    per pair: a pair with mu not below lam is zero, so callers pass any
+    pair of members, and `family_entries` lists none.
     """
     if lam == mu:
         gctx.require(lam)

@@ -14,6 +14,16 @@ from chercomb import (
     terrain_of,
 )
 
+
+def comparable_pairs(gctx):
+    """Every (lam, mu) with mu <= lam, diagonal included, lam-major along
+    the family order: the pairwise `leq` scan over the full square.  It is
+    the oracle for the pairs `family_entries` keeps, and lists the pairs
+    the tests walk."""
+    elements = gctx.elements
+    return [(lam, mu) for lam in elements for mu in elements if gctx.leq(mu, lam)]
+
+
 # The criterion-5(b) FLOTW base with two 0-nodes added: 45 members, some
 # of them incomparable.
 FLOTW2_CONTEXT = {

@@ -2,8 +2,12 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from subprocess import PIPE
 
 import pytest
 
@@ -431,6 +435,40 @@ def test_failing_command_leaves_out_untouched(capsys, tmp_path):
     code, out = run(capsys, "validate", bad, "--out", str(dest))
     assert code == 1 and json.loads(out)["detail"].startswith("e:")
     assert dest.read_text() == "earlier result\n"
+
+
+def chercomb_process(*argv, **kwargs):
+    """The command line in its own interpreter, importing chercomb from this
+    checkout's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-m", "chercomb.cli", *argv], env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_to_out_is_named(hook_file):
+    # /dev/full opens, then every flush fails with ENOSPC
+    proc = chercomb_process("validate", hook_file, "--out", "/dev/full", stdout=PIPE, stderr=PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == b""
+    payload = json.loads(out)
+    assert payload["error"] == "validation failure"
+    assert payload["detail"].startswith("--out:") and "No space left" in payload["detail"]
+
+
+def test_closed_stdout_exits_one_quietly(tmp_path, flotw2_file):
+    # the FLOTW3 matrix is far larger than a pipe's buffer, so the writer
+    # is still writing when the reader closes the pipe after one line
+    with open(flotw2_file) as fh:
+        context = json.load(fh)
+    path = tmp_path / "flotw3.json"
+    path.write_text(json.dumps(dict(context, multiset={"0": 3})))
+    proc = chercomb_process("decomp", str(path), "--matrix", "--engine", "nested", stdout=PIPE, stderr=PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def _run_both_ways(capsys, tmp_path, *argv):

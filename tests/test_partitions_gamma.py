@@ -23,6 +23,8 @@ from chercomb.gamma import saturation_check
 from chercomb.partitions import Multipartition, Node
 from chercomb.selfcheck import random_single_residue_context
 
+from conftest import comparable_pairs
+
 
 def test_partition_validation():
     with pytest.raises(ValueError):
@@ -303,7 +305,7 @@ def test_element_from_positions_reduces_residue_keys(ctx_e5):
 def brute_force_covers(gctx):
     """Hasse edges from the definition: mu < lam with nothing strictly
     between, lam-major along the order."""
-    strict = [(lam, mu) for lam, mu in gctx.comparable_pairs() if lam != mu]
+    strict = [(lam, mu) for lam, mu in comparable_pairs(gctx) if lam != mu]
     below = set(strict)
     return [
         (lam, mu)
@@ -331,27 +333,26 @@ def test_covers_match_brute_force_random_families():
         assert gctx.covers() == brute_force_covers(gctx), gctx.gamma
 
 
-def assert_comparable_pairs_scan_the_full_square(gctx):
-    """comparable_pairs equals the comprehension over every ordered pair, in
-    the same order, and the family order puts each mu <= lam at or after lam."""
-    elements, index = gctx.elements, gctx.index
-    full = [(lam, mu) for lam in elements for mu in elements if gctx.leq(mu, lam)]
-    assert gctx.comparable_pairs() == full
-    assert all(index[mu] >= index[lam] for lam, mu in full)
+def assert_order_is_linear_extension(gctx):
+    """The family order puts each mu <= lam at or after lam, so the pairs
+    with mu at or after lam, which `family_entries` reads, hold every
+    comparable pair."""
+    index = gctx.index
+    assert all(index[mu] >= index[lam] for lam, mu in comparable_pairs(gctx))
 
 
-def test_comparable_pairs_flotw_family(gctx_flotw_bipartition):
-    assert_comparable_pairs_scan_the_full_square(gctx_flotw_bipartition)
+def test_order_is_linear_extension_flotw_family(gctx_flotw_bipartition):
+    assert_order_is_linear_extension(gctx_flotw_bipartition)
 
 
-def test_comparable_pairs_two_residues(gctx_admissible_pair):
-    assert_comparable_pairs_scan_the_full_square(gctx_admissible_pair)
+def test_order_is_linear_extension_two_residues(gctx_admissible_pair):
+    assert_order_is_linear_extension(gctx_admissible_pair)
 
 
-def test_comparable_pairs_random_families():
+def test_order_is_linear_extension_random_families():
     rng = random.Random(37)
     for _ in range(60):
-        assert_comparable_pairs_scan_the_full_square(random_single_residue_context(rng))
+        assert_order_is_linear_extension(random_single_residue_context(rng))
 
 
 def test_leq_matches_per_residue_definition_two_residues(gctx_admissible_pair):

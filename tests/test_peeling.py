@@ -26,6 +26,8 @@ from chercomb.gamma import strip_residues
 from chercomb.peeling import gamma_characters
 from chercomb.selfcheck import random_single_residue_context
 
+from conftest import comparable_pairs
+
 
 def test_single_element_matrix(ctx_e5):
     gctx = build_gamma_set(mp([2, 1]), [0], {}, ctx_e5)
@@ -153,6 +155,18 @@ def test_engines_list_entries_in_one_order(gctx_hook, gctx_runner):
         kn = list(family_entries(gctx, "kn").items())
         assert list(family_entries(gctx, "nested").items()) == kn, gctx.gamma
         assert list(family_entries(gctx, "both").items()) == kn, gctx.gamma
+
+
+@pytest.mark.parametrize("engine", ["kn", "nested", "both"])
+def test_family_entries_nonzero_exactly_on_comparable_pairs(request, engine):
+    # family_entries reads every pair with mu at or after lam and keeps the
+    # nonzero entries: the engines decide dominance, so the kept pairs are
+    # the leq scan's, in its order
+    rng = random.Random(4126)
+    families = [request.getfixturevalue(f) for f in ("gctx_hook", "gctx_runner", "gctx_admissible_pair")]
+    families += [random_single_residue_context(rng) for _ in range(40)]
+    for gctx in families:
+        assert list(family_entries(gctx, engine)) == comparable_pairs(gctx), gctx.gamma
 
 
 def test_family_entries_share_equal_values(gctx_flotw_bipartition, gctx_hook):

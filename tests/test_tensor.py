@@ -17,6 +17,8 @@ from chercomb import (
 )
 from chercomb import tensor
 
+from conftest import comparable_pairs
+
 
 def test_single_residue_factor_is_trivial(gctx_hook):
     fctx = factor_context(gctx_hook)
@@ -50,7 +52,7 @@ def test_nested_is_product_over_residues(family, request):
                 product = product * nested_decomposition_number(parts[lam][r], parts[mu][r], child).value
             assert value == product, (lam, mu)
             nonzero += bool(value)
-    assert nonzero == len(gctx.comparable_pairs())
+    assert nonzero == len(comparable_pairs(gctx))
 
 
 def test_runner_character_product(gctx_runner):

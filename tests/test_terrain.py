@@ -24,6 +24,8 @@ from chercomb.gamma import strip_residues
 from chercomb.selfcheck import random_single_residue_context
 from chercomb.terrain import root_codes
 
+from conftest import comparable_pairs
+
 
 def directions(terrain):
     _, word = terrain
@@ -133,7 +135,7 @@ def test_root_codes_match_outermost_pairs(gctx_flotw_bipartition):
     pairs inside it, re-based."""
     gctx = gctx_flotw_bipartition
     split = 0
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in comparable_pairs(gctx):
         word, filled = slot_word(mu, gctx), gctx.added_positions(lam)[0]
         dt = decorate(word, filled)
         code = bytes((s == 1) + 2 * (j in filled) for j, s in enumerate(word, start=1))
@@ -277,7 +279,7 @@ def assert_slot_decoration_matches(gctx, node_decorate):
     """Every comparable pair decorates the same from the slot word as from
     coordinates, and every reversed strict pair fails both ways."""
     r = gctx.residue
-    pairs = gctx.comparable_pairs()
+    pairs = comparable_pairs(gctx)
     for lam, mu in pairs:
         by_slots = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[r])
         by_nodes = node_decorate(mu, lam, r, gctx.ctx)
@@ -346,7 +348,7 @@ def nested_families(dt):
 def assert_families_match_brute_force(gctx):
     r = gctx.residue
     nested = 0
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in comparable_pairs(gctx):
         dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[r])
         assert nested_families(dt) == brute_force_families(dt), (lam, mu)
         nested += any(o[0] < i[0] and i[1] < o[1] for i in dt.pairs for o in dt.pairs)
@@ -365,7 +367,7 @@ def test_well_nested_families_match_brute_force_three_deep(gctx_flotw_bipartitio
     base = gctx_flotw_bipartition
     gctx = build_gamma_set(base.gamma, [0], {0: 4}, base.ctx)
     deep = 0
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in comparable_pairs(gctx):
         dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[0])
         if max((sum(o[0] <= p[0] and p[1] <= o[1] for o in dt.pairs) for p in dt.pairs), default=0) >= 3:
             deep += 1
@@ -391,7 +393,7 @@ def assert_stored_norms(gctx):
     number of flattened paths seen."""
     r = gctx.residue
     flattened = 0
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in comparable_pairs(gctx):
         dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[r])
         for pair in dt.pairs:
             for path in latticed_paths(dt, pair):
@@ -419,7 +421,7 @@ def assert_product_over_roots(gctx):
     well-nested families, enumerated at once.  Returns the number of pairs
     with more than one outermost pair."""
     split = 0
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in comparable_pairs(gctx):
         if lam == mu:
             continue
         dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[gctx.residue])
@@ -460,7 +462,7 @@ def test_segment_memo_is_order_free(gctx_flotw_bipartition):
     give the same numbers and end with the same memo."""
     base = gctx_flotw_bipartition
     forward, backward = (build_gamma_set(base.gamma, [0], {0: 6}, base.ctx) for _ in range(2))
-    pairs = forward.comparable_pairs()
+    pairs = comparable_pairs(forward)
     want = {(lam, mu): nested_decomposition_number(lam, mu, forward).value for lam, mu in pairs}
     got = {
         (lam, mu): nested_decomposition_number(lam, mu, backward).value
@@ -477,7 +479,7 @@ def test_segment_memo_holds_each_distinct_root_once(gctx_flotw_bipartition):
     base = gctx_flotw_bipartition
     gctx = build_gamma_set(base.gamma, [0], {0: 6}, base.ctx)
     segments = set()
-    for lam, mu in gctx.comparable_pairs():
+    for lam, mu in comparable_pairs(gctx):
         nested_decomposition_number(lam, mu, gctx)
         dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[0])
         segments.update((dt.steps[lo - 1 : hi], pairs_within(dt, lo, hi)) for lo, hi in outermost_pairs(dt))
