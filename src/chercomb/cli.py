@@ -17,7 +17,6 @@ from contextlib import contextmanager, nullcontext
 from json.encoder import encode_basestring_ascii
 
 from .contextio import (
-    ParseError,
     context_to_json,
     multipartition_to_json,
     parse_context,
@@ -46,8 +45,9 @@ from .render import terrain_ascii, terrain_svg
 EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_DISAGREE = 0, 1, 2, 3
 
 
-def _emit(result, args):
-    """Write a command's result once, to --out when given, else to stdout.
+def _emit(result, fmt="json", out=None):
+    """Write a command's result once, to --out when given, else to stdout;
+    main's one-line failure report goes to stdout the same way.
 
     A drawing is written as it is and a payload in --format: JSON encoded
     as it is written (`_write_json`), CSV and LaTeX built before the file is
@@ -57,10 +57,10 @@ def _emit(result, args):
     that fails, a closed pipe say: stdout is then pointed at devnull, as
     the Python docs advise, so nothing more reaches the pipe at exit.
     """
-    if not isinstance(result, str) and args.format != "json":
-        result = _to_csv(result) if args.format == "csv" else _to_latex(result)
+    if not isinstance(result, str) and fmt != "json":
+        result = _to_csv(result) if fmt == "csv" else _to_latex(result)
     try:
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
             if isinstance(result, str):
                 fh.write(result)
             else:
@@ -68,9 +68,9 @@ def _emit(result, args):
             fh.write("\n")
             fh.flush()
     except OSError as exc:
-        if not args.out:
+        if not out:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValidationError(f"{'--out' if args.out else 'stdout'}: {exc}") from exc
+        raise ValidationError(f"{'--out' if out else 'stdout'}: {exc}") from exc
 
 
 def _write_json(payload, fh, default):
@@ -258,7 +258,7 @@ def cmd_gamma_set(args):
     _, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     edges = [[gctx.index[lam], gctx.index[mu]] for lam, mu in gctx.covers()]
-    payload = {
+    return {
         "top": multipartition_to_json(gctx.top),
         "bottom": multipartition_to_json(gctx.bottom),
         "members": [multipartition_to_json(m) for m in gctx.elements],
@@ -266,7 +266,6 @@ def cmd_gamma_set(args):
         "rows": [[i, json.dumps(multipartition_to_json(m))] for i, m in enumerate(gctx.elements)],
         "columns": ["index", "multipartition"],
     }
-    return payload
 
 
 def cmd_tableaux(args):
@@ -275,17 +274,13 @@ def cmd_tableaux(args):
     mu = _mp_arg(args.weight, "weight", ctx)
     tabs = enumerate_sstd(lam, mu, ctx, _pinning(gctx, lam, mu))
     degrees = [tableau_degree(tab, ctx) for tab in tabs]
-    rows = []
-    for tab, degree in zip(tabs, degrees):
-        moved = {str(a): str(b) for a, b in sorted(tab.mapping.items())}
-        rows.append([degree, json.dumps(moved)])
-    payload = {
+    moved = [json.dumps({str(a): str(b) for a, b in sorted(tab.mapping.items())}) for tab in tabs]
+    return {
         "count": len(tabs),
         "degrees": sorted(degrees),
-        "rows": rows,
+        "rows": [[d, m] for d, m in zip(degrees, moved)],
         "columns": ["degree", "moved_nodes"],
     }
-    return payload
 
 
 def cmd_delta_char(args):
@@ -307,7 +302,7 @@ def cmd_decomp(args):
             gctx.require(mu)
         result = decomp_number(lam, mu, gctx, engine=args.engine)
         payload = _poly_payload(result.value)
-        payload["engine"] = result.engine
+        payload["engine"] = args.engine
         if result.valid_any_field is not None:
             payload["valid_any_field"] = result.valid_any_field
         return payload
@@ -409,20 +404,15 @@ def cmd_transport(args):
         lam = _mp_arg(args.shape, "--shape", ctx)
         with _argument("--shape"):
             target = tmap.multipartition(lam)
-        payload = {
-            "source": multipartition_to_json(lam),
-            "target": multipartition_to_json(target),
-        }
-    else:
-        rows = [
-            [
-                json.dumps(multipartition_to_json(lam)),
-                json.dumps(multipartition_to_json(tmap.multipartition(lam))),
-            ]
-            for lam in gctx.elements
+        return {"source": multipartition_to_json(lam), "target": multipartition_to_json(target)}
+    rows = [
+        [
+            json.dumps(multipartition_to_json(lam)),
+            json.dumps(multipartition_to_json(tmap.multipartition(lam))),
         ]
-        payload = {"rows": rows, "columns": ["source", "target"]}
-    return payload
+        for lam in gctx.elements
+    ]
+    return {"rows": rows, "columns": ["source", "target"]}
 
 
 def cmd_tensor_factor(args):
@@ -459,11 +449,7 @@ def cmd_selfcheck(args):
     if args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
     run = cross_validate(count=args.count, seed=args.seed)
-    payload = {
-        "contexts": run.contexts,
-        "pairs": run.pairs,
-        "ok": run.ok,
-    }
+    payload = {"contexts": run.contexts, "pairs": run.pairs, "ok": run.ok}
     if not run.ok:
         payload["failure"] = run.failure
         return payload, EXIT_DISAGREE
@@ -561,22 +547,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's failure reports, first match first: NonSaturatedPoset is a ValueError
+FAILURES = (
+    (EngineDisagreement, "engine disagreement", EXIT_DISAGREE),
+    ((PositivityViolation, NonSaturatedPoset, InvariantViolation), "computation failure", EXIT_COMPUTE),
+    (ValueError, "validation failure", EXIT_VALIDATION),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)
         result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
-        _emit(result, args)
+        _emit(result, args.format, args.out)
         return code
-    except EngineDisagreement as exc:
-        print(json.dumps({"error": "engine disagreement", "detail": str(exc)}))
-        return EXIT_DISAGREE
-    except (PositivityViolation, NonSaturatedPoset, InvariantViolation) as exc:
-        print(json.dumps({"error": "computation failure", "detail": str(exc)}))
-        return EXIT_COMPUTE
-    except (ParseError, ValidationError, ValueError, NotInGamma, UnbalancedDecoration) as exc:
-        print(json.dumps({"error": "validation failure", "detail": str(exc)}))
+    except Exception as exc:
+        for kinds, label, code in FAILURES:
+            if isinstance(exc, kinds):
+                break
+        else:
+            raise
+        report = json.dumps({"error": label, "detail": str(exc)})
+    try:
+        _emit(report)  # to stdout, whatever --out says
+    except ValidationError:
         return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

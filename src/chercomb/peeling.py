@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 from .gamma import GammaContext
 from .laurent import LaurentPoly
 from .tableaux import delta_character
-from .terrain import NestedResult, field_validity, nested_decomposition_number
+from .terrain import field_validity, nested_decomposition_number
 
 
 class NonSaturatedPoset(ValueError):
@@ -164,6 +164,15 @@ def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
     return peel_matrix(members, gctx.leq, gamma_characters(gctx))
 
 
+def _require_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+
+
+def _disagreement(lam, mu, nested, peeled) -> EngineDisagreement:
+    return EngineDisagreement(f"d[{lam},{mu}]: nested gives {nested}, peeling gives {peeled}")
+
+
 def family_entries(gctx: GammaContext, engine: str) -> dict:
     """Nonzero decomposition numbers d[(lam, mu)] over the whole family,
     lam-major along the order at every engine.
@@ -175,10 +184,10 @@ def family_entries(gctx: GammaContext, engine: str) -> dict:
     Engines as in decomp_number; 'both' raises EngineDisagreement at the
     first pair where the engines differ, incomparable pairs included.
     Equal values are one shared LaurentPoly: a family has far fewer
-    distinct decomposition numbers than nonzero entries.
+    distinct decomposition numbers than nonzero entries.  Only the values
+    are computed: field validity is the family's, not an entry's.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+    _require_engine(engine)
     peeled = gamma_peel_matrix(gctx) if engine != "nested" else None
     shared: dict = {}
     entries = {}
@@ -188,9 +197,7 @@ def family_entries(gctx: GammaContext, engine: str) -> dict:
         else:
             value = nested_decomposition_number(lam, mu, gctx).value
             if peeled is not None and value != peeled.entry(lam, mu):
-                raise EngineDisagreement(
-                    f"d[{lam},{mu}]: nested gives {value}, peeling gives {peeled.entry(lam, mu)}"
-                )
+                raise _disagreement(lam, mu, value, peeled.entry(lam, mu))
         if value:
             entries[(lam, mu)] = shared.setdefault(value, value)
     return entries
@@ -198,7 +205,6 @@ def family_entries(gctx: GammaContext, engine: str) -> dict:
 
 class DecompResult(NamedTuple):
     value: LaurentPoly
-    engine: str
     nested: LaurentPoly | None
     peeled: LaurentPoly | None
     valid_any_field: bool | None
@@ -213,22 +219,15 @@ def decomp_number(lam, mu, gctx: GammaContext, engine: str = "both") -> DecompRe
 
     Engine 'nested' is the closed lattice-path formula, 'kn' the
     character-peeling recursion, 'both' runs the two independently and
-    insists on exact agreement.  valid_any_field is field_validity's flag,
-    None when several residues are added.
+    insists on exact agreement.  valid_any_field is the family's flag,
+    read once here (`field_validity`): None when several residues are
+    added.
     """
     gctx.require(lam)
     gctx.require(mu)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    nested: NestedResult | None = None
-    peeled: LaurentPoly | None = None
-    if engine in ("nested", "both"):
-        nested = nested_decomposition_number(lam, mu, gctx)
-    if engine in ("kn", "both"):
-        peeled = interval_peel_matrix(lam, mu, gctx).entry(lam, mu)
-    if engine == "both" and nested.value != peeled:
-        raise EngineDisagreement(
-            f"d[{lam},{mu}]: nested gives {nested.value}, peeling gives {peeled}"
-        )
-    value = nested.value if nested is not None else peeled
-    return DecompResult(value, engine, nested.value if nested else None, peeled, field_validity(gctx))
+    _require_engine(engine)
+    nested = nested_decomposition_number(lam, mu, gctx).value if engine != "kn" else None
+    peeled = interval_peel_matrix(lam, mu, gctx).entry(lam, mu) if engine != "nested" else None
+    if nested is not None and peeled is not None and nested != peeled:
+        raise _disagreement(lam, mu, nested, peeled)
+    return DecompResult(peeled if nested is None else nested, nested, peeled, field_validity(gctx))

@@ -18,18 +18,17 @@ from .partitions import Multipartition
 from .peeling import EngineDisagreement, family_entries
 
 
-def random_single_residue_context(
-    rng: random.Random,
-    max_level: int = 3,
-    max_addable: int = 6,
-    max_added: int = 4,
-    max_base_size: int = 12,
-):
+# a drawn family's bounds: components, the residue's addable slots, nodes
+# added, and the base multipartition's size
+MAX_LEVEL, MAX_ADDABLE, MAX_ADDED, MAX_BASE_SIZE = 3, 6, 4, 12
+
+
+def random_single_residue_context(rng: random.Random):
     """Draw one valid single-residue family context, retrying until the
-    addable-list and added-node bounds are met."""
+    addable-slot and added-node bounds are met."""
     while True:
         e = rng.choice([3, 4, 5, None])
-        level = rng.randint(1, max_level)
+        level = rng.randint(1, MAX_LEVEL)
         modulus = e if e is not None else 7
         if level > 1 and rng.random() < 0.4:
             # equal charges give the chosen residue slots in every component
@@ -39,7 +38,7 @@ def random_single_residue_context(
         g = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 1, 2]))
         if rng.random() < 0.5:
             # well-separated: gaps far beyond n*g
-            step = g * (max_base_size + max_added + 2) + Fraction(1, 3)
+            step = g * (MAX_BASE_SIZE + MAX_ADDED + 2) + Fraction(1, 3)
             theta = [step * k for k in range(level)]
         else:
             # FLOTW-style: all gaps strictly inside one scale unit
@@ -55,7 +54,7 @@ def random_single_residue_context(
             comps = [_staircase(rng, e) for _ in range(level)]
             base = Multipartition(comps)
         else:
-            base = _random_multipartition(rng, level, rng.randint(0, max_base_size))
+            base = _random_multipartition(rng, level, rng.randint(0, MAX_BASE_SIZE))
         # weight the residue choice by addable-slot count so larger families
         # show up often, not just the one-slot degenerate cases
         candidates: dict[int, int] = {}
@@ -68,10 +67,10 @@ def random_single_residue_context(
         residue = rng.choices(residues, weights=[candidates[r] ** 3 for r in residues])[0]
         base = strip_residues(base, [residue], ctx)
         slots = addable_nodes(base, ctx, [residue])
-        if not (1 <= len(slots) <= max_addable):
+        if not (1 <= len(slots) <= MAX_ADDABLE):
             continue
         a = len(slots)
-        m = rng.randint(1, min(max_added, a))
+        m = rng.randint(1, min(MAX_ADDED, a))
         if m == a and a > 1:
             m = rng.randint(1, a - 1)  # avoid the one-element family
         if a == 1 and rng.random() < 0.85:

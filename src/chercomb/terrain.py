@@ -260,15 +260,17 @@ def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
 
 class NestedResult(NamedTuple):
     value: LaurentPoly
-    valid_any_field: bool | None
 
 
 def field_validity(gctx: GammaContext) -> bool | None:
-    """True when the closed formula holds over every field: nothing is
-    added, or the one added residue appears at most once in the
-    multicharge.  False when it appears more often: the formula is then
-    guaranteed over the complex numbers only.  None when several residues
-    are added, a case the paper's statement does not cover."""
+    """Whether the closed formula holds over every field, one flag for the
+    whole family, read once per request by `decomp_number`.
+
+    True when nothing is added, or the one added residue appears at most
+    once in the multicharge.  False when it appears more often: the
+    formula is then guaranteed over the complex numbers only.  None when
+    several residues are added, a case the paper's statement does not
+    cover."""
     if len(gctx.multiset) > 1:
         return None
     return not gctx.multiset or gctx.ctx.multicharge.count(gctx.residue) <= 1
@@ -287,14 +289,15 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     distinct root is decorated and enumerated once per family, in
     `gctx.segment_norms`.  Dominance is decided here, by one `gctx.leq`
     per pair: a pair with mu not below lam is zero, so callers pass any
-    pair of members, and `family_entries` lists none.
+    pair of members, and `family_entries` lists none.  The value alone is
+    returned: field validity belongs to the family (`field_validity`).
     """
     if lam == mu:
         gctx.require(lam)
-        return NestedResult(LaurentPoly.one(), field_validity(gctx))
+        return NestedResult(LaurentPoly.one())
     # leq reads lam's positions, then mu's: a non-member raises NotInGamma, lam first
     if not gctx.leq(mu, lam):
-        return NestedResult(LaurentPoly.zero(), field_validity(gctx))
+        return NestedResult(LaurentPoly.zero())
     # one byte per slot, each 0 or 1, so the sum carries nothing between slots
     below, above = gctx.occupancy[mu], gctx.occupancy[lam]
     code = (int.from_bytes(below, "big") + 2 * int.from_bytes(above, "big")).to_bytes(len(below), "big")
@@ -309,4 +312,4 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
                 coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
             norms = gctx.segment_norms[root] = LaurentPoly(coeffs)
         value = norms if value is None else value * norms
-    return NestedResult(value, field_validity(gctx))
+    return NestedResult(value)

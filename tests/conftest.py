@@ -24,6 +24,24 @@ def comparable_pairs(gctx):
     return [(lam, mu) for lam in elements for mu in elements if gctx.leq(mu, lam)]
 
 
+@pytest.fixture
+def field_validity_calls(monkeypatch):
+    """The families field_validity is called on, in call order, wherever
+    the library calls it from."""
+    import chercomb.peeling as peeling
+    import chercomb.terrain as terrain
+
+    calls, original = [], terrain.field_validity
+
+    def counted(gctx):
+        calls.append(gctx)
+        return original(gctx)
+
+    monkeypatch.setattr(terrain, "field_validity", counted)
+    monkeypatch.setattr(peeling, "field_validity", counted)
+    return calls
+
+
 # The criterion-5(b) FLOTW base with two 0-nodes added: 45 members, some
 # of them incomparable.
 FLOTW2_CONTEXT = {

@@ -163,6 +163,14 @@ def test_decomp_pair_and_matrix(capsys, hook_file):
 
 
 @pytest.mark.parametrize("engine", ["nested", "kn", "both"])
+def test_decomp_pair_reads_field_validity_once(capsys, hook_file, field_validity_calls, engine):
+    pair = ["--pair", "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]"]
+    code, out = run(capsys, "decomp", hook_file, "--engine", engine, *pair)
+    assert code == 0 and json.loads(out)["valid_any_field"] is True
+    assert len(field_validity_calls) == 1
+
+
+@pytest.mark.parametrize("engine", ["nested", "kn", "both"])
 def test_decomp_matrix_flotw3_golden(capsys, tmp_path, flotw2_file, engine):
     # three 0-nodes added to the FLOTW base: 120 members; 'both' also
     # checks that the closed formula and the peel agree on every entry
@@ -469,6 +477,42 @@ def test_closed_stdout_exits_one_quietly(tmp_path, flotw2_file):
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_failure_report_to_closed_stdout_exits_one_quietly():
+    # the reader is gone before the command writes its one-line report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    bad = json.dumps({"e": 2, "multicharge": [0], "theta": ["0"], "g": "1"})
+    proc = chercomb_process("validate", bad, stdout=write_end, stderr=PIPE)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == b""
+
+
+def test_failure_report_write_failing_in_process(monkeypatch, hook_file, tmp_path):
+    class ClosedPipe(io.StringIO):
+        """A stdout whose reader is gone; its descriptor is a file of the
+        test's own, so pointing it at devnull touches no real stdout."""
+
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    def disagree(lam, mu, gctx, engine):
+        raise peeling.EngineDisagreement("stub disagreement")
+
+    monkeypatch.setattr(cli, "decomp_number", disagree)
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["decomp", hook_file, "--pair", "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]"])
+    assert code == 1
 
 
 def _run_both_ways(capsys, tmp_path, *argv):
@@ -801,8 +845,7 @@ def test_chi_rejects_negative_depth(capsys, tmp_path):
 def test_readme_cli_block_matches_parser():
     # each usage line of the README's CLI block lists its subcommand's own
     # options; --out, --format and --help are documented once for all
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+    block = readme_text().split("## CLI", 1)[1].split("```text", 1)[1].split("```", 1)[0]
     documented = {}
     for line in block.strip().splitlines():
         words = line.split("#", 1)[0].split()
@@ -814,6 +857,26 @@ def test_readme_cli_block_matches_parser():
         for name, p in sub.choices.items()
     }
     assert documented == options
+
+
+def readme_text() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_library_block_prints_what_it_says(capsys):
+    # each print of the Library block says in its comment what it prints
+    block = readme_text().split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    said = [line.split("#", 1)[1].split(":")[0].strip() for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == said == ["t^2", "True"]
+
+
+def test_readme_exit_codes_match_failure_table():
+    text = " ".join(readme_text().split())
+    sentence = text.split("Exit codes: ", 1)[1].split(".", 1)[0]
+    documented = {(int(code), label) for code, label in re.findall(r"`(\d)` ([a-z ]+)", sentence)}
+    table = {(code, label) for _, label, code in cli.FAILURES}
+    assert documented == table | {(cli.EXIT_OK, "success")}
 
 
 def dump_text(payload) -> str:

@@ -127,7 +127,7 @@ def test_engine_disagreement_is_not_silent(gctx_hook, monkeypatch):
     def fake_nested(lam, mu, gctx):
         from chercomb.terrain import NestedResult
 
-        return NestedResult(LaurentPoly({7: 1}), True)
+        return NestedResult(LaurentPoly({7: 1}))
 
     monkeypatch.setattr(peeling, "nested_decomposition_number", fake_nested)
     with pytest.raises(EngineDisagreement):
@@ -167,6 +167,15 @@ def test_family_entries_nonzero_exactly_on_comparable_pairs(request, engine):
     families += [random_single_residue_context(rng) for _ in range(40)]
     for gctx in families:
         assert list(family_entries(gctx, engine)) == comparable_pairs(gctx), gctx.gamma
+
+
+def test_field_validity_is_not_read_per_entry(gctx_flotw_bipartition, field_validity_calls):
+    # the flag belongs to the family: the nested engine computes values only
+    calls = field_validity_calls
+    assert len(family_entries(gctx_flotw_bipartition, "nested")) == 13860
+    assert calls == []
+    decomp_number(gctx_flotw_bipartition.top, gctx_flotw_bipartition.bottom, gctx_flotw_bipartition, "nested")
+    assert calls == [gctx_flotw_bipartition]
 
 
 def test_family_entries_share_equal_values(gctx_flotw_bipartition, gctx_hook):

@@ -120,7 +120,7 @@ def test_dominance_axioms(ctx, data):
 @settings(max_examples=30, deadline=None)
 def test_restricted_agrees_with_general(seed):
     rng = random.Random(seed)
-    gctx = random_single_residue_context(rng, max_level=2, max_addable=4, max_added=2, max_base_size=6)
+    gctx = random_single_residue_context(rng)
     if gctx.gamma.size + sum(gctx.multiset.values()) > 10:
         return
     ctx = gctx.ctx
@@ -135,7 +135,7 @@ def test_restricted_agrees_with_general(seed):
 @settings(max_examples=30, deadline=None)
 def test_gamma_leq_matches_loading_dominance(seed):
     rng = random.Random(seed)
-    gctx = random_single_residue_context(rng, max_level=2, max_addable=4, max_added=2, max_base_size=6)
+    gctx = random_single_residue_context(rng)
     ctx = gctx.ctx
     for lam in gctx.elements:
         for mu in gctx.elements:

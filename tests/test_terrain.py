@@ -22,7 +22,7 @@ from chercomb import (
 )
 from chercomb.gamma import strip_residues
 from chercomb.selfcheck import random_single_residue_context
-from chercomb.terrain import root_codes
+from chercomb.terrain import field_validity, root_codes
 
 from conftest import comparable_pairs
 
@@ -238,16 +238,13 @@ def test_nested_flotw_bipartition(gctx_flotw_bipartition, node_decorate):
 
 
 def test_field_validity_flag(gctx_hook, gctx_runner):
-    lam, mu = gctx_hook.top, gctx_hook.bottom
-    assert nested_decomposition_number(lam, mu, gctx_hook).valid_any_field
+    assert field_validity(gctx_hook) is True
     ctx = ParamContext(5, [0, 0], ["0", "1/2"], "1")
     gamma = mp([10, 8, 7, 5, 5, 5, 3, 3, 3], [5, 4, 3, 3, 3, 3, 3, 2, 1, 1])
     gctx = build_gamma_set(gamma, [0], {0: 3}, ctx)
-    res = nested_decomposition_number(gctx.top, gctx.bottom, gctx)
-    assert res.valid_any_field is False  # the residue occurs twice in the multicharge
+    assert field_validity(gctx) is False  # the residue occurs twice in the multicharge
     # several residues added: the paper states no rule, so there is no flag
-    res = nested_decomposition_number(gctx_runner.top, gctx_runner.bottom, gctx_runner)
-    assert res.valid_any_field is None
+    assert field_validity(gctx_runner) is None
 
 
 def test_paths_match_generic_outside_pair(ctx_level10, decoration_pair, node_decorate):
