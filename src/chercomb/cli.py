@@ -2,9 +2,8 @@
 
 Subcommands: validate, gamma-set, tableaux, delta-char, decomp, terrain,
 chi, transport, tensor-factor, selfcheck.  Each command returns its result
-(with an exit code when it can fail after computing), and `main` writes it
-once, to stdout or --out, as json, csv, or latex.  Exit codes: 0 success,
-1 validation failure, 2 computation failure, 3 engine disagreement.
+(and an exit code if it can fail after computing); `main` writes it once,
+to stdout or --out, as json, csv or latex.  Failures exit as in FAILURES.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from json.encoder import encode_basestring_ascii
 
 from .contextio import (
@@ -43,19 +42,23 @@ from .transport import TransportMap
 from .render import terrain_ascii, terrain_svg
 
 EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_DISAGREE = 0, 1, 2, 3
+FAILURES = (  # main's failure reports, first match first: NonSaturatedPoset is a ValueError
+    ((EngineDisagreement,), "engine disagreement", EXIT_DISAGREE),
+    ((PositivityViolation, NonSaturatedPoset, InvariantViolation), "computation failure", EXIT_COMPUTE),
+    ((ValueError,), "validation failure", EXIT_VALIDATION),
+)
 
 
-def _emit(result, fmt="json", out=None):
-    """Write a command's result once, to --out when given, else to stdout;
-    main's one-line failure report goes to stdout the same way.
+def _emit(result, code, fmt="json", out=None) -> int:
+    """Write a result once, to --out when given, else to stdout; return code.
 
     A drawing is written as it is and a payload in --format: JSON encoded
     as it is written (`_write_json`), CSV and LaTeX built before the file is
     opened.  A LaurentPoly cell of a row is written in the format's form:
     to_latex in LaTeX, its plain form otherwise.  An --out that cannot be
-    opened, written or closed is a validation failure, and so is a stdout
-    that fails, a closed pipe say: stdout is then pointed at devnull, as
-    the Python docs advise, so nothing more reaches the pipe at exit.
+    opened, written or closed is a validation failure.  A stdout that
+    fails, a closed pipe say, returns 1 quietly: stdout is pointed at
+    devnull, as the Python docs advise, so nothing more reaches the pipe.
     """
     if not isinstance(result, str) and fmt != "json":
         result = _to_csv(result) if fmt == "csv" else _to_latex(result)
@@ -68,9 +71,12 @@ def _emit(result, fmt="json", out=None):
             fh.write("\n")
             fh.flush()
     except OSError as exc:
-        if not out:
+        if out:
+            raise ValidationError(f"--out: {exc}") from exc
+        with suppress(ValueError):  # an in-memory stdout has no descriptor
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValidationError(f"{'--out' if out else 'stdout'}: {exc}") from exc
+        return EXIT_VALIDATION
+    return code
 
 
 def _write_json(payload, fh, default):
@@ -258,7 +264,7 @@ def cmd_gamma_set(args):
     _, gctx, _ = parse_context(args.context)
     gctx = _need_gamma(gctx)
     edges = [[gctx.index[lam], gctx.index[mu]] for lam, mu in gctx.covers()]
-    return {
+    payload = {
         "top": multipartition_to_json(gctx.top),
         "bottom": multipartition_to_json(gctx.bottom),
         "members": [multipartition_to_json(m) for m in gctx.elements],
@@ -266,6 +272,7 @@ def cmd_gamma_set(args):
         "rows": [[i, json.dumps(multipartition_to_json(m))] for i, m in enumerate(gctx.elements)],
         "columns": ["index", "multipartition"],
     }
+    return payload
 
 
 def cmd_tableaux(args):
@@ -274,13 +281,17 @@ def cmd_tableaux(args):
     mu = _mp_arg(args.weight, "weight", ctx)
     tabs = enumerate_sstd(lam, mu, ctx, _pinning(gctx, lam, mu))
     degrees = [tableau_degree(tab, ctx) for tab in tabs]
-    moved = [json.dumps({str(a): str(b) for a, b in sorted(tab.mapping.items())}) for tab in tabs]
-    return {
+    rows = []
+    for tab, degree in zip(tabs, degrees):
+        moved = {str(a): str(b) for a, b in sorted(tab.mapping.items())}
+        rows.append([degree, json.dumps(moved)])
+    payload = {
         "count": len(tabs),
         "degrees": sorted(degrees),
-        "rows": [[d, m] for d, m in zip(degrees, moved)],
+        "rows": rows,
         "columns": ["degree", "moved_nodes"],
     }
+    return payload
 
 
 def cmd_delta_char(args):
@@ -404,15 +415,20 @@ def cmd_transport(args):
         lam = _mp_arg(args.shape, "--shape", ctx)
         with _argument("--shape"):
             target = tmap.multipartition(lam)
-        return {"source": multipartition_to_json(lam), "target": multipartition_to_json(target)}
-    rows = [
-        [
-            json.dumps(multipartition_to_json(lam)),
-            json.dumps(multipartition_to_json(tmap.multipartition(lam))),
+        payload = {
+            "source": multipartition_to_json(lam),
+            "target": multipartition_to_json(target),
+        }
+    else:
+        rows = [
+            [
+                json.dumps(multipartition_to_json(lam)),
+                json.dumps(multipartition_to_json(tmap.multipartition(lam))),
+            ]
+            for lam in gctx.elements
         ]
-        for lam in gctx.elements
-    ]
-    return {"rows": rows, "columns": ["source", "target"]}
+        payload = {"rows": rows, "columns": ["source", "target"]}
+    return payload
 
 
 def cmd_tensor_factor(args):
@@ -449,7 +465,11 @@ def cmd_selfcheck(args):
     if args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
     run = cross_validate(count=args.count, seed=args.seed)
-    payload = {"contexts": run.contexts, "pairs": run.pairs, "ok": run.ok}
+    payload = {
+        "contexts": run.contexts,
+        "pairs": run.pairs,
+        "ok": run.ok,
+    }
     if not run.ok:
         payload["failure"] = run.failure
         return payload, EXIT_DISAGREE
@@ -547,33 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's failure reports, first match first: NonSaturatedPoset is a ValueError
-FAILURES = (
-    (EngineDisagreement, "engine disagreement", EXIT_DISAGREE),
-    ((PositivityViolation, NonSaturatedPoset, InvariantViolation), "computation failure", EXIT_COMPUTE),
-    (ValueError, "validation failure", EXIT_VALIDATION),
-)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)
         result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
-        _emit(result, args.format, args.out)
-        return code
-    except Exception as exc:
-        for kinds, label, code in FAILURES:
-            if isinstance(exc, kinds):
-                break
-        else:
-            raise
-        report = json.dumps({"error": label, "detail": str(exc)})
-    try:
-        _emit(report)  # to stdout, whatever --out says
-    except ValidationError:
-        return EXIT_VALIDATION
-    return code
+        return _emit(result, code, args.format, args.out)
+    except tuple(kind for kinds, _, _ in FAILURES for kind in kinds) as exc:
+        label, code = next((lab, c) for kinds, lab, c in FAILURES if isinstance(exc, kinds))
+        return _emit(json.dumps({"error": label, "detail": str(exc)}), code)  # to stdout, whatever --out says
 
 
 if __name__ == "__main__":

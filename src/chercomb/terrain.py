@@ -263,14 +263,12 @@ class NestedResult(NamedTuple):
 
 
 def field_validity(gctx: GammaContext) -> bool | None:
-    """Whether the closed formula holds over every field, one flag for the
-    whole family, read once per request by `decomp_number`.
-
-    True when nothing is added, or the one added residue appears at most
-    once in the multicharge.  False when it appears more often: the
-    formula is then guaranteed over the complex numbers only.  None when
-    several residues are added, a case the paper's statement does not
-    cover."""
+    """One flag for the whole family, read once per `decomp_number`: True
+    when the closed formula holds over every field, as nothing is added or
+    the one added residue appears at most once in the multicharge.  False
+    when it appears more often: the formula is then guaranteed over the
+    complex numbers only.  None when several residues are added, a case
+    the paper's statement does not cover."""
     if len(gctx.multiset) > 1:
         return None
     return not gctx.multiset or gctx.ctx.multicharge.count(gctx.residue) <= 1

@@ -492,27 +492,23 @@ def test_failure_report_to_closed_stdout_exits_one_quietly():
 
 def test_failure_report_write_failing_in_process(monkeypatch, hook_file, tmp_path):
     class ClosedPipe(io.StringIO):
-        """A stdout whose reader is gone; its descriptor is a file of the
-        test's own, so pointing it at devnull touches no real stdout."""
-
-        def __init__(self, fd):
-            super().__init__()
-            self.fd = fd
+        """A stdout whose reader is gone, in memory, so it has no descriptor."""
 
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
-
-        def fileno(self):
-            return self.fd
 
     def disagree(lam, mu, gctx, engine):
         raise peeling.EngineDisagreement("stub disagreement")
 
     monkeypatch.setattr(cli, "decomp_number", disagree)
+    argv = ["decomp", hook_file, "--pair", "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]"]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 1
+    # given a descriptor, a file of the test's own, stdout is pointed at
+    # devnull without touching the real one
     with open(tmp_path / "stdout", "w") as fh:
-        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
-        code = main(["decomp", hook_file, "--pair", "[[6,1,1,1,1]]", "[[5,1,1,1,1,1]]"])
-    assert code == 1
+        sys.stdout.fileno = fh.fileno
+        assert main(argv) == 1
 
 
 def _run_both_ways(capsys, tmp_path, *argv):

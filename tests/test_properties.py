@@ -116,13 +116,22 @@ def test_dominance_axioms(ctx, data):
         assert [p for p in a.points] == [p for p in b.points]
 
 
+def small_family(rng):
+    """A random single-residue family within the bounds these tests check:
+    level at most 2, at most 4 addable slots and 2 added nodes, and at
+    most 10 nodes in all; larger draws are drawn again."""
+    while True:
+        gctx = random_single_residue_context(rng)
+        added = sum(gctx.multiset.values())
+        if gctx.ctx.level <= 2 and len(gctx.addable[gctx.residue]) <= 4 and added <= 2:
+            if gctx.gamma.size + added <= 10:
+                return gctx
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_restricted_agrees_with_general(seed):
-    rng = random.Random(seed)
-    gctx = random_single_residue_context(rng)
-    if gctx.gamma.size + sum(gctx.multiset.values()) > 10:
-        return
+    gctx = small_family(random.Random(seed))
     ctx = gctx.ctx
     for lam in gctx.elements:
         for mu in gctx.elements:
@@ -134,8 +143,7 @@ def test_restricted_agrees_with_general(seed):
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_gamma_leq_matches_loading_dominance(seed):
-    rng = random.Random(seed)
-    gctx = random_single_residue_context(rng)
+    gctx = small_family(random.Random(seed))
     ctx = gctx.ctx
     for lam in gctx.elements:
         for mu in gctx.elements:
