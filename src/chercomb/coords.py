@@ -12,23 +12,30 @@ packed order, an int per node for the tableau degree's inner loop.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 
 def as_fraction(value) -> Fraction:
     """Ingest a rational given as Fraction, int, or string ('3/4', '0.99');
-    a boolean is refused, not taken as 0 or 1."""
+    a boolean is refused, and so is a string whose numerator or denominator
+    would pass sys.get_int_max_str_digits() digits, or its exponent twice that."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     if isinstance(value, float):
-        # floats are accepted but converted via str to keep '0.99' exact
-        return Fraction(str(value))
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        value = str(value)  # via str, to keep 0.99 exact
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    exponent = re.fullmatch(r".*E([-+]?\d+(?:_\d+)*)\s*", value, re.I | re.S)
+    q = None if limit and exponent and abs(int(exponent[1])) > 2 * limit else Fraction(value)
+    if limit and (q is None or max(abs(q.numerator), q.denominator) >= 10**limit):
+        raise ValueError(f"over {limit} digits in numerator or denominator, or {2 * limit} in exponent")
+    return q
 
 
 class ExactCoord(NamedTuple):

@@ -1,10 +1,9 @@
 """Character peeling: graded decomposition matrices from standard characters.
 
-Over a dominance-ordered index set with known graded standard characters,
-simple characters and decomposition numbers are forced one interval at a
-time: subtracting the already-known composition factors from a standard
-character leaves  d + l  with l bar-invariant (a simple character) and d
-supported in strictly positive degrees (a decomposition number), and that
+Over a linear extension of the dominance order, each row is forced from
+its graded standard characters and its own entries: subtracting the known
+composition factors leaves  d + l,  l bar-invariant (a simple character)
+and d in strictly positive degrees (a decomposition number), and that
 split is unique.  This engine is the independent cross-check for the
 closed lattice-path formula.
 """
@@ -22,7 +21,7 @@ from .terrain import field_validity, nested_decomposition_number
 
 
 class NonSaturatedPoset(ValueError):
-    """A nonzero character showed up on an incomparable pair."""
+    """A nonzero character on (lam, mu) with mu not placed below lam."""
 
 
 class EngineDisagreement(AssertionError):
@@ -75,45 +74,39 @@ def peel_matrix(order, leq, characters) -> DecompositionMatrix:
     leq         leq(mu, lam) for the dominance order
     characters  (lam, mu) -> LaurentPoly, the graded standard characters
 
-    leq and characters are each asked once per ordered pair of distinct
-    members.  Rows lam are peeled from the bottom of the order up and each
-    row left to right, so d[lam, xi] and simple[xi, mu] already exist for
-    every xi strictly between; the correction sums only over those xi.  A
-    pair with mu not below lam is a saturation probe: its character must
-    vanish, else NonSaturatedPoset.  The split is unique, so the result
-    does not depend on which linear extension is given.
+    Rows are peeled bottom up, each left to right.  Each mu before lam (in
+    a linear extension none is below lam) and each later mu with leq(mu,
+    lam) false is a saturation probe: its character must vanish, else
+    NonSaturatedPoset.  For mu below lam the character is corrected by
+    d[lam, xi] * simple[xi, mu] over this row's nonzero entries so far, as
+    simple[xi, mu] is stored only when mu <= xi.  Characters are asked once
+    per ordered pair, leq once per pair with mu after lam and once per
+    nonzero entry (check_invariants).  Any linear extension gives the same
+    result, since the split is unique.
     """
-    n = len(order)
-    # below[i][j]: order[j] <= order[i]
-    below = [[i == j or leq(mu, lam) for j, mu in enumerate(order)] for i, lam in enumerate(order)]
     matrix = DecompositionMatrix(order=list(order))
     one = LaurentPoly.one()
-    for i in reversed(range(n)):
+    for i in reversed(range(len(order))):
         lam = order[i]
         matrix.d[(lam, lam)] = one
         matrix.simple[(lam, lam)] = one
-        # members strictly below lam, in order
-        down = [k for k in range(i + 1, n) if below[i][k]]
+        row = []  # (xi, d[lam, xi]) for this row's nonzero entries so far
         for j, mu in enumerate(order):
-            if j == i or (below[i][j] and j < i):
+            if j == i:
                 continue
             f = characters(lam, mu)
-            if not below[i][j]:
+            if j < i or not leq(mu, lam):
                 if f:
-                    raise NonSaturatedPoset(f"nonzero character on incomparable pair ({lam}, {mu})")
+                    msg = f"nonzero character on ({lam}, {mu}): an incomparable pair, or mu before lam"
+                    raise NonSaturatedPoset(msg)
                 continue
-            for k in down:
-                if k >= j:
-                    break
-                if below[k][j]:
-                    xi = order[k]
-                    d_lx = matrix.d.get((lam, xi))
-                    l_xm = matrix.simple.get((xi, mu))
-                    if d_lx and l_xm:
-                        f = f - d_lx * l_xm
+            for xi, d_lx in row:
+                if (xi, mu) in matrix.simple:
+                    f = f - d_lx * matrix.simple[(xi, mu)]
             d, l = f.bar_split()
             if d:
                 matrix.d[(lam, mu)] = d
+                row.append((mu, d))
             if l:
                 matrix.simple[(lam, mu)] = l
     matrix.check_invariants(leq)

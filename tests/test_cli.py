@@ -634,6 +634,12 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("multiset", {"0": 5}),
         ("multiset", {"3": 1}),
         ("gamma", [[1]]),
+        # a rational whose numerator or denominator would pass Python's int
+        # digit limit is refused as it is read, not when it is printed
+        ("g", "1e5000"),
+        ("theta", ["1e5000"]),
+        ("epsilon_display", "1e5000"),
+        ("g", "1e2000000"),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):

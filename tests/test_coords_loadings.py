@@ -7,6 +7,7 @@ from chercomb import (
     Loading,
     ParamContext,
     ValidationError,
+    as_fraction,
     coord,
     dominates,
     loading_of,
@@ -23,6 +24,16 @@ def test_exact_coord_order():
     assert coord("-97/100", 0) < coord(0, 0)
     assert str(coord(5, 2)) == "5+2e"
     assert coord(-1, 3).numeric(Fraction(1, 100)) == Fraction(-97, 100)
+
+
+def test_as_fraction_digit_limit():
+    # the limit is sys.get_int_max_str_digits(), 4300 by default
+    assert as_fraction("1e4299") == 10**4299
+    assert as_fraction("0.0001e4303") == 10**4299
+    assert as_fraction("-1/" + "9" * 4300).denominator == 10**4300 - 1
+    for value in ("1e4300", "1e-4300", "0.5e-4300", "1e2000000", "0e2000000", "1" * 4301):
+        with pytest.raises(ValueError):
+            as_fraction(value)
 
 
 def test_coord_of_node_examples():

@@ -218,17 +218,34 @@ def test_peel_independent_of_linear_extension(request, family):
 
 
 def test_peel_asks_each_pair_once(gctx_admissible_pair):
+    # characters once per ordered pair; leq once per pair with mu after lam,
+    # and once more per nonzero off-diagonal entry (check_invariants)
     gctx = gctx_admissible_pair
-    asked = Counter()
+    asked, compared = Counter(), Counter()
     real = gamma_characters(gctx)
 
     def characters(lam, mu):
         asked[(lam, mu)] += 1
         return real(lam, mu)
 
-    peel_matrix(gctx.elements, gctx.leq, characters)
+    def leq(mu, lam):
+        compared[(mu, lam)] += 1
+        return gctx.leq(mu, lam)
+
+    matrix = peel_matrix(gctx.elements, leq, characters)
     elements = gctx.elements
     assert asked == Counter({(lam, mu): 1 for lam in elements for mu in elements if lam != mu})
+    entries = [(mu, lam) for lam, mu in matrix.d if lam != mu]
+    assert entries
+    assert compared == Counter([(mu, lam) for lam, mu in combinations(elements, 2)] + entries)
+
+
+def test_peel_refuses_an_order_that_is_not_a_linear_extension(gctx_hook):
+    # reversed, the hook family puts every mu below lam before lam: each such
+    # pair is a saturation probe, and its character does not vanish
+    order = list(reversed(gctx_hook.elements))
+    with pytest.raises(NonSaturatedPoset, match="mu before lam"):
+        peel_matrix(order, gctx_hook.leq, gamma_characters(gctx_hook))
 
 
 def random_two_residue_context(rng):
