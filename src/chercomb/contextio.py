@@ -13,7 +13,7 @@ import os
 
 from .coords import as_fraction
 from .gamma import GammaContext, build_gamma_set
-from .params import ParamContext, field_value
+from .params import KEY_EPS_BOUND, ParamContext, field_value
 from .partitions import Multipartition, exact_int
 
 
@@ -23,7 +23,9 @@ class ParseError(ValueError):
 
 def parse_multipartition(data, path, level) -> Multipartition:
     """The multipartition a JSON value gives, with the given level; a fault
-    raises ParseError naming `path`."""
+    raises ParseError naming `path`.  Node keys (`ParamContext.node_key`)
+    need row + col below KEY_EPS_BOUND, for every node and every node
+    addable to it, since families and terrains sort addable nodes by key."""
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise ParseError(f"{path}: expected a list of integer lists")
     try:
@@ -32,6 +34,13 @@ def parse_multipartition(data, path, level) -> Multipartition:
         raise ParseError(f"{path}: {exc}") from exc
     if lam.level != level:
         raise ParseError(f"{path}: has {lam.level} components but level is {level}")
+    # the addable node ending row r is (r, length + 1); the one opening a
+    # row below is never further out
+    reach = max((r + length + 1 for part in lam.comps for r, length in enumerate(part, 1)), default=2)
+    if reach >= KEY_EPS_BOUND:
+        raise ParseError(
+            f"{path}: a node or addable node has row + col = {reach}, which must be below {KEY_EPS_BOUND}"
+        )
     return lam
 
 

@@ -7,7 +7,8 @@ rational gap that can occur, so comparison is lexicographic on (q, m).
 A numeric rendering mode substitutes a user-supplied value for display.
 
 ExactCoord stays the exact definition; `ParamContext.node_key` is its
-packed order, an int per node for the tableau degree's inner loop.
+packed order, an int per node computed without it, on which the kn
+engine sorts nodes and counts crossings.
 """
 
 from __future__ import annotations

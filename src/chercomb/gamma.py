@@ -41,7 +41,7 @@ def addable_nodes(lam: Multipartition, ctx: ParamContext, residues=None) -> list
                 residues is None or ctx.residue_of(node) in residues
             ):
                 out.append(node)
-    out.sort(key=lambda n: ctx.node_coord(n))
+    out.sort(key=ctx.node_key)
     return out
 
 
@@ -56,7 +56,7 @@ def removable_nodes(lam: Multipartition, ctx: ParamContext, residues=None) -> li
                 residues is None or ctx.residue_of(node) in residues
             ):
                 out.append(node)
-    out.sort(key=lambda n: ctx.node_coord(n))
+    out.sort(key=ctx.node_key)
     return out
 
 

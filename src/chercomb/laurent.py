@@ -86,7 +86,9 @@ class LaurentPoly:
         return all(c >= 0 for c in self.coeffs.values())
 
     def is_bar_invariant(self) -> bool:
-        return self == self.bar()
+        """self == self.bar(), read off mirrored coefficients."""
+        coeffs = self.coeffs
+        return all(coeffs.get(-e) == c for e, c in coeffs.items())
 
     def in_positive_degrees(self) -> bool:
         """True iff supported on strictly positive exponents (0 allowed only if zero)."""

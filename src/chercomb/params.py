@@ -6,8 +6,11 @@ three residue classes i-1, i, i+1 are distinct.  A weighting is valid when
 no difference theta_i - theta_j is an integer multiple of the scale g.
 
 Each context also packs node coordinates into integer keys (`node_key`)
-for the tableau degree's inner loop, and lists a shape's keys residue by
-residue (`shape_keys`); see `coords` for the exact order.
+by integer arithmetic alone, from a base key per component fixed when the
+context is built; the kn engine sorts nodes and counts crossings on these
+keys.  It lists a shape's keys residue by residue, row by row
+(`shape_keys`, memoized per shape).  `node_coord` and `coords` stay the
+exact definition the keys must order as.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class ParamContext:
 
     __slots__ = (
         "e", "level", "multicharge", "theta", "g",
-        "key_scale", "ghost_shift", "red_keys", "_keys", "_shape_keys",
+        "key_scale", "ghost_shift", "comp_keys", "red_keys", "_shape_keys",
     )
 
     def __init__(self, e, multicharge, theta, g):
@@ -70,13 +73,14 @@ class ParamContext:
         self.level = len(self.multicharge)
         self._validate()
         # key of q + m*eps is (q*L)*KEY_EPS_BOUND + m, L the least common
-        # denominator of theta and g; a ghost sits ghost_shift below its strand
+        # denominator of theta and g; a ghost sits ghost_shift below its
+        # strand, and component k's red line (theta_k) at comp_keys[k - 1]
         self.key_scale = lcm(self.g.denominator, *(t.denominator for t in self.theta))
         self.ghost_shift = self._scaled(self.g)
+        self.comp_keys = tuple(self._scaled(t) for t in self.theta)
         self.red_keys = {}
-        for charge, t in zip(self.multicharge, self.theta):
-            self.red_keys.setdefault(charge, []).append(self._scaled(t))
-        self._keys = {}
+        for charge, key in zip(self.multicharge, self.comp_keys):
+            self.red_keys.setdefault(charge, []).append(key)
         self._shape_keys = {}
 
     def _validate(self):
@@ -135,26 +139,35 @@ class ParamContext:
         return ExactCoord(self.theta[comp - 1], 0)
 
     def node_key(self, node: Node) -> int:
-        """node_coord(node) packed into an int with the same order, memoized
-        on this context."""
-        key = self._keys.get(node)
-        if key is None:
-            c = self.node_coord(node)
-            if c.eps >= KEY_EPS_BOUND:
-                raise ValidationError(
-                    f"node {node}: row + col = {c.eps} must be below {KEY_EPS_BOUND}"
-                )
-            key = self._keys[node] = self._scaled(c.base) + c.eps
-        return key
+        """node_coord(node) packed into an int with the same order:
+        theta_k*L*2^20 + ghost_shift*(r - c) + (r + c), computed from the
+        component's base key without building a coordinate."""
+        return self._key(*node)
+
+    def _key(self, r: int, c: int, k: int) -> int:
+        if not (1 <= k <= self.level):
+            raise ValidationError(f"node ({r},{c},{k}): component out of range 1..{self.level}")
+        if r + c >= KEY_EPS_BOUND:
+            raise ValidationError(
+                f"node ({r},{c},{k}): row + col = {r + c} must be below {KEY_EPS_BOUND}"
+            )
+        return self.comp_keys[k - 1] + self.ghost_shift * (r - c) + r + c
 
     def shape_keys(self, lam) -> dict[int, list[int]]:
         """Residue -> ascending node_keys of lam's nodes of that residue,
-        memoized on this context."""
+        memoized on this context.  Along a row the key falls by
+        ghost_shift - 1 from each node to the next, and the residue rises
+        by one."""
         keys = self._shape_keys.get(lam)
         if keys is None:
             keys = {}
-            for node in lam.nodes():
-                keys.setdefault(self.residue_of(node), []).append(self.node_key(node))
+            step = self.ghost_shift - 1
+            for k, part in enumerate(lam.comps, start=1):
+                for r, length in enumerate(part, start=1):
+                    last = self._key(r, length, k)  # the row's least key, range-checked
+                    res = self.multicharge[k - 1] + length - r  # that node's residue
+                    for j in range(length):
+                        keys.setdefault(self.residue(res - j), []).append(last + j * step)
             for row in keys.values():
                 row.sort()
             self._shape_keys[lam] = keys

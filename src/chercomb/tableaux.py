@@ -18,7 +18,8 @@ The count runs over integer keys, not coordinates: `ParamContext.node_key`
 packs q + m*eps into (q*L)*2^20 + m, L the least common denominator of
 theta and g, which orders exactly as the coordinates do while every eps
 part (row + col) stays below 2^20; a larger node raises ValidationError.
-A ghost shift is one integer subtraction.
+A key is integer arithmetic from its component's base key, and a ghost
+shift is one integer subtraction.
 
 A tableau stores only its moving strands (node != target); every node it
 leaves out is a vertical strand, and `Tableau.image` reads any node's
@@ -31,7 +32,8 @@ directly.  The vertical strands of residue r are the shape's residue-r
 nodes less the moving sources, so the ones a moving strand passes are
 counted by bisection in the shape's ascending keys
 (`ParamContext.shape_keys`, memoized per shape), less the moving sources
-in the same range.  No two of a strand, a ghost and a red line share a
+in the same range, counted by bisection in the residue's moving sources,
+sorted once per tableau.  No two of a strand, a ghost and a red line share a
 key: a node (r, c) and the ghost of (r', c') in its component would need
 r - c = r' - c' - 1 and r + c = r' + c', which differ in parity; other
 components differ by a non-multiple of g in the base (the weighting's
@@ -43,7 +45,6 @@ a base-pinned tableau costs its moving strands however large its base.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from itertools import product
 
 from .gamma import GammaContext
@@ -254,14 +255,15 @@ def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
     if not moving:
         return 0
     shape_keys = ctx.shape_keys(tab.shape)
-    sources = {r: [s for s, _ in strands] for r, strands in moving.items()}
+    sources = {r: sorted(s for s, _ in strands) for r, strands in moving.items()}
 
     def vertical_between(r, lo, hi):
         """Vertical strands of residue r keyed strictly between lo and hi:
         the shape's residue-r keys there, less the moving sources among them."""
         keys = shape_keys.get(r, ())
+        moved = sources.get(r, ())
         inside = bisect_left(keys, hi) - bisect_right(keys, lo)
-        return inside - sum(lo < s < hi for s in sources.get(r, ()))
+        return inside - (bisect_left(moved, hi) - bisect_right(moved, lo))
 
     shift = ctx.ghost_shift
     deg = 0
@@ -278,13 +280,15 @@ def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
             # this strand over the ghost (key - shift) of a strand one
             # residue down: +1; a vertical one residue up over this strand's
             # ghost: +1 (a moving strand over it is counted from its side)
-            hs, ht = s + shift, t + shift
-            deg += sum((hs < s2) != (ht < t2) for s2, t2 in down_moved)
+            if down_moved:
+                hs, ht = s + shift, t + shift
+                deg += sum((hs < s2) != (ht < t2) for s2, t2 in down_moved)
             deg += vertical_between(down, lo + shift, hi + shift)
             deg += vertical_between(up, lo - shift, hi - shift)
 
             # black strand over a red line of its own residue: +1
-            deg += sum(lo < k < hi for k in reds)
+            if reds:
+                deg += sum(lo < k < hi for k in reds)
     return deg
 
 
@@ -296,5 +300,8 @@ def tableau_degree(tab: Tableau, ctx: ParamContext) -> int:
 def delta_character(lam, mu, ctx: ParamContext, gctx: GammaContext | None = None) -> LaurentPoly:
     """Graded dimension of the mu-weight space of the standard module of lam:
     the sum of t^deg(T) over semistandard tableaux."""
-    tabs = enumerate_sstd(lam, mu, ctx, gctx)
-    return LaurentPoly(Counter(tableau_degree(tab, ctx) for tab in tabs))
+    coeffs: dict[int, int] = {}
+    for tab in enumerate_sstd(lam, mu, ctx, gctx):
+        deg = tableau_degree(tab, ctx)
+        coeffs[deg] = coeffs.get(deg, 0) + 1
+    return LaurentPoly(coeffs)

@@ -54,7 +54,7 @@ def terrain_of(mu: Multipartition, residue: int, ctx: ParamContext):
     """mu's removable and addable nodes of the residue in coordinate order,
     and the terrain's word over them: +1 (up) where mu contains the node."""
     edges = removable_nodes(mu, ctx, [residue]) + addable_nodes(mu, ctx, [residue])
-    nodes = sorted(edges, key=ctx.node_coord)
+    nodes = sorted(edges, key=ctx.node_key)
     return nodes, tuple(1 if mu.contains(n) else -1 for n in nodes)
 
 

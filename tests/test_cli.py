@@ -640,6 +640,9 @@ def test_terrain_render_out_file(capsys, tmp_path, render):
         ("theta", ["1e5000"]),
         ("epsilon_display", "1e5000"),
         ("g", "1e2000000"),
+        # gamma's addable 0-node (1,1048576,1) has row + col = 2^20, past
+        # the node keys' bound: refused as gamma is read
+        ("gamma", [[1048575]]),
     ],
 )
 def test_bad_context_field_is_named(capsys, field, value):
@@ -784,8 +787,14 @@ def test_terrain_paths_needs_decorated_ascii(capsys, extra):
         (["decomp", HOOK, "--pair", "[[5,1,1,1,1]]", "[[5,1,1,1],[1]]"], "--pair: has 2 components"),
         (["decomp", HOOK, "--pair", "[[6,1,1,1,1]", "[[5,1,1,1,1,1]]"], "--pair: Expecting"),
         (["transport", HOOK, "--target", HOOK, "--shape", "[[5,1,1,1],[1]]"], "--shape: has 2 components"),
+        # a node addable to the shape would have row + col = 2^20
+        (["decomp", HOOK, "--pair", "[[1048575]]", "[[5,1,1,1,1]]"], "--pair: a node or addable node"),
+        (["delta-char", HOOK, "[[5,1,1,1,1]]", "[[1048574,1]]"], "weight: a node or addable node"),
     ],
-    ids=["weight-short", "decorate-long", "shape", "weight", "pair", "pair-not-json", "transport-shape"],
+    ids=[
+        "weight-short", "decorate-long", "shape", "weight", "pair", "pair-not-json", "transport-shape",
+        "pair-key-bound", "weight-key-bound",
+    ],
 )
 def test_multipartition_argument_is_named(capsys, argv, prefix):
     code, out = run(capsys, *argv)

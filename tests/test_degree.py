@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from chercomb import (
     ParamContext,
     addable_nodes,
+    removable_nodes,
     build_gamma_set,
     empty_multipartition,
     enumerate_sstd,
@@ -23,7 +24,7 @@ from chercomb import (
 )
 from chercomb.params import KEY_EPS_BOUND, ValidationError
 from chercomb.partitions import Node
-from chercomb.selfcheck import random_single_residue_context
+from chercomb.selfcheck import _random_multipartition, random_single_residue_context
 from chercomb.tableaux import Tableau
 
 
@@ -240,3 +241,55 @@ def test_node_key_rejects_eps_at_bound():
     big = Node(KEY_EPS_BOUND - 1, 1)
     with pytest.raises(ValidationError, match=r"node \(1048575,1,1\)"):
         ctx.node_key(big)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_node_key_is_the_packed_coordinate(data):
+    """node_key, computed from the component's base key, is the packing of
+    the exact coordinate: its base scaled by L*2^20, plus its eps part."""
+    ctx = data.draw(keyed_contexts())
+    node = data.draw(nodes(ctx.level))
+    c = ctx.node_coord(node)
+    assert ctx.node_key(node) == ctx._scaled(c.base) + c.eps
+
+
+@pytest.mark.parametrize("node", [Node(1, 1, 0), Node(1, 1, 3), Node(2, 5, -1)])
+def test_node_key_refuses_component_as_node_coord_does(node):
+    ctx = ParamContext(3, [0, 1], ["0", "1/2"], "1")
+    with pytest.raises(ValidationError) as by_key:
+        ctx.node_key(node)
+    with pytest.raises(ValidationError) as by_coord:
+        ctx.node_coord(node)
+    assert str(by_key.value) == str(by_coord.value)
+
+
+def seeded_families(count=40, seed=31):
+    rng = random.Random(seed)
+    return [random_single_residue_context(rng) for _ in range(count)]
+
+
+def test_shape_keys_by_rows_match_node_keys():
+    """The row-by-row listing equals every node's own key, grouped by
+    residue and sorted, on every member and base of 40 seeded families."""
+    for gctx in seeded_families():
+        ctx = gctx.ctx
+        for lam in [gctx.gamma, *gctx.elements]:
+            expected = {}
+            for node in lam.nodes():
+                expected.setdefault(ctx.residue_of(node), []).append(ctx.node_key(node))
+            assert ctx.shape_keys(lam) == {r: sorted(keys) for r, keys in expected.items()}, lam
+
+
+def test_addable_and_removable_nodes_in_coordinate_order():
+    """Sorting by integer key gives the exact coordinate order, with and
+    without a residue filter."""
+    rng = random.Random(57)
+    for gctx in seeded_families():
+        ctx = gctx.ctx
+        for _ in range(5):
+            lam = _random_multipartition(rng, ctx.level, rng.randint(0, 20))
+            for listing in (addable_nodes, removable_nodes):
+                for residues in (None, [gctx.residue]):
+                    got = listing(lam, ctx, residues)
+                    assert got == sorted(got, key=ctx.node_coord), (lam, listing)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from chercomb import LaurentPoly, PositivityViolation
 
@@ -65,3 +66,15 @@ def test_serialization_round_trip():
     assert LaurentPoly({int(e): c for e, c in f.to_sorted_dict().items()}) == f
     assert f.to_latex() == "t^{5}+2t^{7}+2t^{9}+t^{11}"
     assert str(poly({-2: 1, 1: -3})) == "t^-2-3*t"
+
+
+@given(
+    st.dictionaries(st.integers(0, 6), st.integers(-3, 3), max_size=5),
+    st.dictionaries(st.integers(-6, 6), st.integers(-2, 2), max_size=2),
+)
+def test_is_bar_invariant_matches_bar(half, noise):
+    """The mirrored-coefficient check agrees with comparing against bar(),
+    on symmetric polynomials and on the same with a few terms added."""
+    symmetric = poly({**half, **{-e: c for e, c in half.items()}})
+    for p in (symmetric, symmetric + poly(noise)):
+        assert p.is_bar_invariant() == (p == p.bar())
