@@ -90,38 +90,51 @@ def _write_json(payload, fh, default):
     per (object, depth) and reused: the entries of a matrix share their
     equal values.  The memo keeps each object it renders, so no id is
     reused while it lives.  Lists and tuples are not memoized, since rows
-    are distinct.  An object json cannot encode, and default refuses,
-    raises TypeError.
+    are distinct.  An exact int, str, tuple or list is told by its type
+    alone; anything else (a bool, a subclass) takes the general branch,
+    as json tells it.  Each depth's indent is built once.  An object json
+    cannot encode, and default refuses, raises TypeError.
     """
     memo = {}
+    breaks, commas = ["\n"], [",\n"]  # a newline, or a comma and newline, and depth d's indent
+
+    def reach(depth):
+        """Extend breaks and commas to depth, one deeper than they reach."""
+        if len(breaks) == depth:
+            breaks.append(breaks[-1] + "  ")
+            commas.append(commas[-1] + "  ")
 
     def text(o, depth):
+        kind = type(o)
+        if kind is int:
+            return repr(o)
+        if kind is str:
+            return encode_basestring_ascii(o)
+        if kind is tuple or kind is list:
+            return block(o, depth)
+        seen = memo.get((id(o), depth))
+        if seen is not None:
+            return seen[1]
         if isinstance(o, str):
             return encode_basestring_ascii(o)
-        if type(o) is int:
-            return int.__repr__(o)
         if o is None or isinstance(o, (int, float)):
             return json.dumps(o)  # a bool, a float or an int subclass, as json writes it
         if isinstance(o, (list, tuple)):
             return block(o, depth)
-        seen = memo.get((id(o), depth))
-        if seen is None:
-            form = block(o, depth) if isinstance(o, dict) else text(default(o), depth)
-            seen = memo[(id(o), depth)] = (o, form)
-        return seen[1]
+        form = block(o, depth) if isinstance(o, dict) else text(default(o), depth)
+        memo[(id(o), depth)] = (o, form)
+        return form
 
     def block(o, depth):
-        """The text of a list, tuple or dict."""
+        """The text of a list, tuple or dict at a depth breaks reaches."""
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
+        reach(depth + 1)
         if isinstance(o, dict):
-            left, right = "{}"
             parts = [_json_key(k) + ": " + text(o[k], depth + 1) for k in sorted(o)]
-        else:
-            left, right = "[]"
-            parts = [text(x, depth + 1) for x in o]
-        inner = "\n" + "  " * (depth + 1)
-        return left + inner + ("," + inner).join(parts) + "\n" + "  " * depth + right
+            return "{" + breaks[depth + 1] + commas[depth + 1].join(parts) + breaks[depth] + "}"
+        parts = [text(x, depth + 1) for x in o]
+        return "[" + breaks[depth + 1] + commas[depth + 1].join(parts) + breaks[depth] + "]"
 
     def write(o, depth, lead):
         """Write lead and then o, item by item down to depth 1."""
@@ -134,11 +147,15 @@ def _write_json(payload, fh, default):
         else:
             left, right = "[]"
             members = (("", x) for x in o)
-        inner = "\n" + "  " * (depth + 1)
+        reach(depth + 1)
+        sep = lead + left + breaks[depth + 1]
         for head, value in members:
-            write(value, depth + 1, lead + left + inner + head)
-            lead, left = "", ","
-        fh.write("\n" + "  " * depth + right)
+            if depth:  # a member's items are rendered whole
+                fh.write(sep + head + text(value, depth + 1))
+            else:
+                write(value, 1, sep + head)
+            sep = commas[depth + 1]
+        fh.write(breaks[depth] + right)
 
     write(payload, 0, "")
 

@@ -92,7 +92,8 @@ class GammaContext:
             for lam, filled in positions.items()
         }
         # root code (see `terrain.root_codes`) -> norm generating function of
-        # the root's well-nested families, filled by the closed formula
+        # the root's well-nested families, filled by the closed formula; a
+        # root's is read off its core's (`terrain.root_core`), also kept
         self.segment_norms = {}
 
     # -- basic views ---------------------------------------------------------

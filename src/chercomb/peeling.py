@@ -80,12 +80,13 @@ def peel_matrix(order, leq, characters) -> DecompositionMatrix:
     NonSaturatedPoset.  For mu below lam the character is corrected by
     d[lam, xi] * simple[xi, mu] over this row's nonzero entries so far, as
     simple[xi, mu] is stored only when mu <= xi.  Characters are asked once
-    per ordered pair, leq once per pair with mu after lam and once per
-    nonzero entry (check_invariants).  Any linear extension gives the same
-    result, since the split is unique.
+    per ordered pair and leq once per pair with mu after lam; the entries
+    are checked (check_invariants) against those recorded answers.  Any
+    linear extension gives the same result, since the split is unique.
     """
     matrix = DecompositionMatrix(order=list(order))
     one = LaurentPoly.one()
+    below = set()  # (lam, mu) with mu after lam and leq(mu, lam) true
     for i in reversed(range(len(order))):
         lam = order[i]
         matrix.d[(lam, lam)] = one
@@ -100,6 +101,7 @@ def peel_matrix(order, leq, characters) -> DecompositionMatrix:
                     msg = f"nonzero character on ({lam}, {mu}): an incomparable pair, or mu before lam"
                     raise NonSaturatedPoset(msg)
                 continue
+            below.add((lam, mu))
             for xi, d_lx in row:
                 if (xi, mu) in matrix.simple:
                     f = f - d_lx * matrix.simple[(xi, mu)]
@@ -109,7 +111,7 @@ def peel_matrix(order, leq, characters) -> DecompositionMatrix:
                 row.append((mu, d))
             if l:
                 matrix.simple[(lam, mu)] = l
-    matrix.check_invariants(leq)
+    matrix.check_invariants(lambda mu, lam: (lam, mu) in below)
     return matrix
 
 
@@ -152,8 +154,14 @@ def interval_peel_matrix(lam, mu, gctx: GammaContext) -> DecompositionMatrix:
 
     The interval is [lam] when mu == lam and empty when mu is not below
     lam, so entry(lam, mu) is then 1 or 0 without a character computed.
+    Only the members from lam to mu along the order are scanned: none is
+    scanned when mu comes before lam.
     """
-    members = [xi for xi in gctx.elements if gctx.leq(xi, lam) and gctx.leq(mu, xi)]
+    # in a linear extension every member of [mu, lam] lies between the two
+    gctx.require(lam)
+    gctx.require(mu)
+    between = gctx.elements[gctx.index[lam] : gctx.index[mu] + 1]
+    members = [xi for xi in between if gctx.leq(xi, lam) and gctx.leq(mu, xi)]
     return peel_matrix(members, gctx.leq, gamma_characters(gctx))
 
 

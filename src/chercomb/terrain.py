@@ -23,8 +23,19 @@ depends only on that pair's stretch of the word and the pairs inside it.
 The engine reads both off one code per slot, which says whether mu, lam,
 both or neither fill it (`root_codes`): a depth scan of the code cuts the
 outermost pairs, and each root's code substring keys its norm generating
-function on the `GammaContext`, so a root is decorated and its families
-enumerated only the first time the family meets it.
+function on the `GammaContext`.  A root's value is read off its core
+(`root_core`): the root without the k interior steps that lie outside
+every inner pair and are unmatched when the interior's up-steps are
+matched with later down-steps.  The root counts t^k times its core:
+  - flattening zeroes matched steps only, and no unmatched step lies
+    between a matched pair, so a dropped step is never flattened and every
+    other ridge and pair is unchanged;
+  - a dropped step adds exactly 1 to the norm of every path of the outer
+    pair and nothing to an inner pair's norm;
+  - it shifts inner and outer heights alike, so no well-nestedness
+    comparison changes.
+So the families of a core are enumerated only the first time the family
+meets it, and those of a root never.
 
 When several residues are added, the code is the residues' codes
 concatenated.  mu <= lam holds residue by residue, so each residue's
@@ -36,7 +47,7 @@ matrices, as the tensor factorization (`tensor`) requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ge
+from operator import ge, getitem
 from typing import NamedTuple
 
 from .gamma import GammaContext, addable_nodes, removable_nodes
@@ -174,7 +185,8 @@ class LatticedPath:
 
     def __post_init__(self):
         lo, hi = self.pair
-        object.__setattr__(self, "norm", 1 + sum(1 for s in self.steps[lo : hi - 1] if s))
+        inside = self.steps[lo : hi - 1]
+        object.__setattr__(self, "norm", 1 + len(inside) - inside.count(0))
 
 
 def prefix_heights(steps) -> tuple[int, ...]:
@@ -196,19 +208,20 @@ def latticed_paths(dt: DecoratedTerrain, pair) -> list[LatticedPath]:
     queue = [generic]
     while queue:
         steps = queue.pop()
-        # candidate ridges: indices are 0-based here, edges lo+1..hi-1
-        for a in range(lo, hi - 1):
-            if steps[a] != 1:
-                continue
-            b = a + 1
-            while b < hi - 1 and steps[b] == 0:
-                b += 1
-            if b >= hi - 1 or steps[b] != -1:
-                continue
-            flattened = steps[:a] + (0,) * (b - a + 1) + steps[b + 1 :]
-            if flattened not in seen:
-                seen.add(flattened)
-                queue.append(flattened)
+        # a ridge is a down-step whose last nonzero step before it is up;
+        # indices are 0-based here, edges lo+1..hi-1
+        up = None
+        for b in range(lo, hi - 1):
+            step = steps[b]
+            if step == 1:
+                up = b
+            elif step:
+                if up is not None:
+                    flattened = steps[:up] + (0,) * (b - up + 1) + steps[b + 1 :]
+                    if flattened not in seen:
+                        seen.add(flattened)
+                        queue.append(flattened)
+                up = None
     paths = [LatticedPath(tuple(pair), s) for s in seen]
     paths.sort(key=lambda p: (-p.norm, p.steps))
     return paths
@@ -253,13 +266,18 @@ def well_nested_families(dt: DecoratedTerrain) -> list[WellNestedFamily]:
             for c, h in enumerate(inner)
             if all(map(ge, h, below[rest[k]]))
         ]
-    families = [WellNestedFamily(tuple(opts[c] for opts, c in zip(options, cs))) for cs in choices]
-    families.sort(key=lambda f: (-f.norm, tuple(p.steps for p in f.paths)))
+    families = [WellNestedFamily(tuple(map(getitem, options, cs))) for cs in choices]
+    families.sort(key=lambda f: (-f.norm, [p.steps for p in f.paths]))
     return families
 
 
 class NestedResult(NamedTuple):
     value: LaurentPoly
+
+
+# the diagonal's value and that of a pair with mu not below lam, shared by
+# every such pair
+_ONE, _ZERO = NestedResult(LaurentPoly.one()), NestedResult(LaurentPoly.zero())
 
 
 def field_validity(gctx: GammaContext) -> bool | None:
@@ -274,6 +292,35 @@ def field_validity(gctx: GammaContext) -> bool | None:
     return not gctx.multiset or gctx.ctx.multicharge.count(gctx.residue) <= 1
 
 
+def root_core(root: bytes) -> tuple[bytes, int]:
+    """A root's core, and the number k of interior steps it drops: those
+    left unmatched when the interior's up-steps are matched with later
+    down-steps, as parentheses, that lie outside every inner pair (code 0
+    or 3 at depth one).  The root's norm generating function is t^k times
+    its core's (see the module docstring), and a core is its own core.
+    """
+    depth, ups, dropped = 0, [], []  # ups: unmatched up-steps, 0 for one the core keeps
+    for j in range(1, len(root) - 1):
+        c = root[j]
+        if c == 2:  # a down-step opening an inner pair
+            if ups:
+                ups.pop()
+            depth += 1
+        elif c == 1:  # an up-step closing one
+            ups.append(0)
+            depth -= 1
+        elif c == 3:
+            ups.append(0 if depth else j)
+        elif ups:
+            ups.pop()
+        elif not depth:
+            dropped.append(j)
+    dropped.extend(filter(None, ups))
+    if not dropped:
+        return root, 0
+    return bytes(c for j, c in enumerate(root) if j not in dropped), len(dropped)
+
+
 def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     """Graded decomposition number as the norm generating function of
     well-nested latticed-path families.
@@ -283,31 +330,41 @@ def nested_decomposition_number(lam, mu, gctx: GammaContext) -> NestedResult:
     norms add: the generating function is the product, over outermost
     pairs, of the norm generating function of that pair's stretch, its
     root.  lam's and mu's slots merge into one code per slot
-    (`root_codes`), and a root's code fixes its word and its pairs, so each
-    distinct root is decorated and enumerated once per family, in
-    `gctx.segment_norms`.  Dominance is decided here, by one `gctx.leq`
+    (`root_codes`), and a root's code fixes its word and its pairs.  A
+    root with k steps outside its inner pairs and unmatched in its
+    interior counts t^k times its core, the root without them
+    (`root_core`): such a step is never flattened, as flattening takes
+    matched steps and none lies between a matched pair; it adds 1 to every
+    outer path's norm and nothing to an inner one's; and it shifts inner
+    and outer heights alike.  So each distinct core is decorated and
+    enumerated once per family, and `gctx.segment_norms` keeps each root's
+    value and each core's.  Dominance is decided here, by one `gctx.leq`
     per pair: a pair with mu not below lam is zero, so callers pass any
-    pair of members, and `family_entries` lists none.  The value alone is
-    returned: field validity belongs to the family (`field_validity`).
+    pair of members, and `family_entries` lists none.  The diagonal's one
+    and the zero are each one shared value.  The value alone is returned:
+    field validity belongs to the family (`field_validity`).
     """
-    if lam == mu:
-        gctx.require(lam)
-        return NestedResult(LaurentPoly.one())
     # leq reads lam's positions, then mu's: a non-member raises NotInGamma, lam first
     if not gctx.leq(mu, lam):
-        return NestedResult(LaurentPoly.zero())
+        return _ZERO
     # one byte per slot, each 0 or 1, so the sum carries nothing between slots
     below, above = gctx.occupancy[mu], gctx.occupancy[lam]
     code = (int.from_bytes(below, "big") + 2 * int.from_bytes(above, "big")).to_bytes(len(below), "big")
-    value = None  # lam != mu, so there is at least one pair
+    memo = gctx.segment_norms
+    value = None
     for root in root_codes(code):
-        norms = gctx.segment_norms.get(root)
+        norms = memo.get(root)
         if norms is None:
-            steps = tuple(1 if c & 1 else -1 for c in root)
-            dt = decorate(steps, {j for j, c in enumerate(root, start=1) if c & 2})
-            coeffs: dict[int, int] = {}
-            for fam in well_nested_families(dt):
-                coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
-            norms = gctx.segment_norms[root] = LaurentPoly(coeffs)
+            core, k = root_core(root)
+            norms = memo.get(core)
+            if norms is None:
+                steps = tuple(1 if c & 1 else -1 for c in core)
+                dt = decorate(steps, {j for j, c in enumerate(core, start=1) if c & 2})
+                coeffs: dict[int, int] = {}
+                for fam in well_nested_families(dt):
+                    coeffs[fam.norm] = coeffs.get(fam.norm, 0) + 1
+                norms = memo[core] = LaurentPoly(coeffs)
+            if k:
+                norms = memo[root] = norms * LaurentPoly.monomial(k)
         value = norms if value is None else value * norms
-    return NestedResult(value)
+    return _ONE if value is None else NestedResult(value)  # no root when lam == mu

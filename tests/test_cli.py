@@ -6,8 +6,10 @@ import os
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 from subprocess import PIPE
+from typing import NamedTuple
 
 import pytest
 
@@ -937,6 +939,19 @@ def test_json_writer_matches_json_dump(capsys, flotw2_file, chi_pair_files, argv
     assert out == dump_text(payload) + "\n"
 
 
+class Level(IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
+
+
+class Point(NamedTuple):
+    x: int
+    name: str
+
+
 def test_json_writer_edge_payload():
     shared = {"b": [1, {}], "a": "x"}
     poly = LaurentPoly({-1: 3, 2: 1})
@@ -953,6 +968,11 @@ def test_json_writer_edge_payload():
         "": {"": ""},
     }
     for value in (payload, [payload, payload], {2: "two", 0.5: "half", False: "no"}, {None: 1}, {}, [], "é", 7, None):
+        assert writer_text(value) == dump_text(value)
+    # not an exact int, str, tuple or list: each takes the general branch
+    edge = [True, Level.LOW, Name("é x"), Point(3, Name("y"))]
+    nested = {"edge": edge, "rows": [tuple(edge), Point(Level.LOW, "z")], Name("key"): {Level.LOW: True}}
+    for value in (*edge, edge, nested, [nested, payload]):
         assert writer_text(value) == dump_text(value)
 
 

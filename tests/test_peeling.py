@@ -75,6 +75,25 @@ def test_interval_matches_full(gctx_hook):
                 assert part.entry(lam, mu) == full.entry(lam, mu)
 
 
+def test_interval_scans_only_from_lam_to_mu(monkeypatch, gctx_hook, gctx_flotw_bipartition):
+    """On every ordered pair, the members scanned from lam to mu along the
+    order are the full scan's members of [mu, lam]; with mu before lam
+    nothing is scanned."""
+    import chercomb.peeling as peeling
+
+    monkeypatch.setattr(peeling, "peel_matrix", lambda order, leq, characters: order)
+    base = gctx_flotw_bipartition
+    for gctx in (gctx_hook, build_gamma_set(base.gamma, [0], {0: 2}, base.ctx)):
+        elements, real, calls = gctx.elements, gctx.leq, []
+        monkeypatch.setattr(gctx, "leq", lambda mu, lam, real=real, calls=calls: calls.append(mu) or real(mu, lam))
+        for i, lam in enumerate(elements):
+            for j, mu in enumerate(elements):
+                full = [xi for xi in elements if real(xi, lam) and real(mu, xi)]
+                calls.clear()
+                assert interval_peel_matrix(lam, mu, gctx) == full, (lam, mu)
+                assert j >= i or not (calls or full), (lam, mu)
+
+
 def test_decomp_number_engines(gctx_hook):
     top, mid, bottom = gctx_hook.elements
     res = decomp_number(top, bottom, gctx_hook, engine="both")
@@ -219,7 +238,7 @@ def test_peel_independent_of_linear_extension(request, family):
 
 def test_peel_asks_each_pair_once(gctx_admissible_pair):
     # characters once per ordered pair; leq once per pair with mu after lam,
-    # and once more per nonzero off-diagonal entry (check_invariants)
+    # and never again: check_invariants reads the peel's recorded answers
     gctx = gctx_admissible_pair
     asked, compared = Counter(), Counter()
     real = gamma_characters(gctx)
@@ -235,9 +254,8 @@ def test_peel_asks_each_pair_once(gctx_admissible_pair):
     matrix = peel_matrix(gctx.elements, leq, characters)
     elements = gctx.elements
     assert asked == Counter({(lam, mu): 1 for lam in elements for mu in elements if lam != mu})
-    entries = [(mu, lam) for lam, mu in matrix.d if lam != mu]
-    assert entries
-    assert compared == Counter([(mu, lam) for lam, mu in combinations(elements, 2)] + entries)
+    assert any(lam != mu for lam, mu in matrix.d)
+    assert compared == Counter((mu, lam) for lam, mu in combinations(elements, 2))
 
 
 def test_peel_refuses_an_order_that_is_not_a_linear_extension(gctx_hook):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate, product
 from math import prod
 
@@ -22,7 +23,7 @@ from chercomb import (
 )
 from chercomb.gamma import strip_residues
 from chercomb.selfcheck import random_single_residue_context
-from chercomb.terrain import field_validity, root_codes
+from chercomb.terrain import field_validity, root_codes, root_core
 
 from conftest import comparable_pairs
 
@@ -469,15 +470,80 @@ def test_segment_memo_is_order_free(gctx_flotw_bipartition):
     assert backward.segment_norms == forward.segment_norms
 
 
-def test_segment_memo_holds_each_distinct_root_once(gctx_flotw_bipartition):
+def test_segment_memo_holds_each_distinct_root_once(gctx_flotw_bipartition, monkeypatch):
     """After the whole FLOTW matrix the memo holds one entry per distinct
-    root: as many as the distinct (segment word, re-based pairs) keys the
-    decorations cut into."""
+    root, as many as the distinct (segment word, re-based pairs) keys the
+    decorations cut into, and the families were enumerated once per
+    distinct core: 902 cores for the 2342 roots, each core a root too."""
+    import chercomb.terrain as terrain
+
+    enumerated = []
+    monkeypatch.setattr(terrain, "well_nested_families", lambda dt: enumerated.append(dt) or well_nested_families(dt))
     base = gctx_flotw_bipartition
     gctx = build_gamma_set(base.gamma, [0], {0: 6}, base.ctx)
-    segments = set()
+    segments, roots = set(), set()
     for lam, mu in comparable_pairs(gctx):
         nested_decomposition_number(lam, mu, gctx)
         dt = decorate(slot_word(mu, gctx), gctx.added_positions(lam)[0])
         segments.update((dt.steps[lo - 1 : hi], pairs_within(dt, lo, hi)) for lo, hi in outermost_pairs(dt))
-    assert len(gctx.segment_norms) == len(segments) == 2342
+        roots.update(root_codes(pair_code(lam, mu, gctx)))
+    cores = {root_core(root)[0] for root in roots}
+    assert len(enumerated) == len(cores) == 902
+    assert len({(dt.steps, dt.pairs) for dt in enumerated}) == 902
+    assert cores <= roots
+    assert gctx.segment_norms.keys() == roots
+    assert len(roots) == len(segments) == 2342
+
+
+def pair_code(lam, mu, gctx):
+    """The slot code of a pair of a single-residue family, slot by slot."""
+    return bytes(a + 2 * b for a, b in zip(gctx.occupancy[mu], gctx.occupancy[lam]))
+
+
+def root_norms(root):
+    """The norm generating function of a root code's well-nested families,
+    enumerated on the whole root."""
+    dt = decorate(tuple(1 if c & 1 else -1 for c in root), {j for j, c in enumerate(root, start=1) if c & 2})
+    return LaurentPoly(Counter(fam.norm for fam in well_nested_families(dt)))
+
+
+def assert_core_rule(root):
+    """The root's generating function is t^k times its core's, the core
+    drops k steps, and a core is its own core."""
+    core, k = root_core(root)
+    assert root_core(core) == (core, 0), root
+    assert len(core) + k == len(root), root
+    assert root_norms(root) == LaurentPoly.monomial(k) * root_norms(core), root
+    return k
+
+
+@pytest.mark.parametrize("added", [2, 3])
+def test_core_rule_on_every_root_of_flotw(gctx_flotw_bipartition, added):
+    base = gctx_flotw_bipartition
+    gctx = build_gamma_set(base.gamma, [0], {0: added}, base.ctx)
+    roots = {root for lam, mu in comparable_pairs(gctx) for root in root_codes(pair_code(lam, mu, gctx))}
+    dropped = [assert_core_rule(root) for root in roots]
+    assert any(dropped) and not all(dropped)
+
+
+def random_root(rng, longest=14):
+    """A random code of one outermost pair, at most `longest` slots: a
+    primitive balanced word of opens (2) and closes (1), with slots both
+    fill (3) or neither fills (0) put in at random inside it."""
+    pairs = rng.randint(1, longest // 2)
+    while True:
+        inner = [2] * (pairs - 1) + [1] * (pairs - 1)
+        rng.shuffle(inner)
+        if min(accumulate(1 if c == 2 else -1 for c in inner), default=0) >= 0:
+            break
+    for _ in range(rng.randint(0, longest - 2 * pairs)):
+        inner.insert(rng.randint(0, len(inner)), rng.choice((0, 3)))
+    return bytes([2, *inner, 1])
+
+
+def test_core_rule_on_random_roots():
+    rng = random.Random(33)
+    roots = [random_root(rng) for _ in range(200)]
+    assert all(len(root) <= 14 and list(root_codes(root)) == [root] for root in roots)
+    dropped = [assert_core_rule(root) for root in roots]
+    assert sum(k > 0 for k in dropped) > 50
